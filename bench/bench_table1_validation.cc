@@ -12,10 +12,13 @@
 //    instead of one per rule;
 //  * frozen CSR snapshot (graph/frozen.h) vs mutable-graph matching on the
 //    full-validate path, plus the freeze cost itself and the pre-frozen
-//    serving regime.
+//    serving regime;
+//  * report building on a violation-dense Validate, and SortViolationList's
+//    radix sort vs a std::sort(ViolationLess) reference on the same report.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -318,6 +321,88 @@ void BM_FreezeCost(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(g.NumEdges());
 }
 
+// ----- report building ------------------------------------------------------
+
+// A violation-dense Validate: a circulant graph (node i → i+1, i+2, i+3 over
+// `e`, plus four `g` edges the rule ignores, which lift |V| + |E| past the
+// freeze cutoff) and a 6-variable path rule whose Y fails on every match,
+// so the report holds all n·3⁵ walks and building it dominates.
+std::vector<Ged> ReportSigma() {
+  Pattern q;
+  for (const char* x : {"x0", "x1", "x2", "x3", "x4", "x5"}) q.AddVar(x, "c");
+  for (VarId i = 0; i + 1 < 6; ++i) q.AddEdge(i, "e", i + 1);
+  const AttrId a = Sym("a");
+  std::vector<Ged> sigma;
+  sigma.emplace_back("path_ends_agree", std::move(q), std::vector<Literal>{},
+                     std::vector<Literal>{Literal::Var(0, a, 5, a)});
+  return sigma;
+}
+
+Graph ReportGraph(size_t n) {
+  Graph g;
+  for (size_t i = 0; i < n; ++i) {
+    g.SetAttr(g.AddNode("c"), "a", Value(static_cast<int64_t>(i)));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 1; k <= 7; ++k) {
+      g.AddEdge(static_cast<NodeId>(i), k <= 3 ? "e" : "g",
+                static_cast<NodeId>((i + k) % n));
+    }
+  }
+  return g;
+}
+
+// Mode 0: one full Validate (scan, report build, sort). Modes 1 and 2 sort
+// the same report as the scan emits it, in enumeration order: 1 with
+// SortViolationList, 2 with the std::sort(ViolationLess) reference. The
+// unsorted copy each iteration sorts is made outside the timed region.
+void BM_ReportBuild(benchmark::State& state, int mode) {
+  Graph g = ReportGraph(static_cast<size_t>(state.range(0)));
+  std::vector<Ged> sigma = ReportSigma();
+  size_t violations = 0;
+  if (mode == 0) {
+    for (auto _ : state) {
+      ValidationReport report = Validate(g, sigma);
+      violations = report.violations.size();
+      benchmark::DoNotOptimize(report.satisfied);
+    }
+    state.counters["violations"] = static_cast<double>(violations);
+    return;
+  }
+  FrozenGraph frozen = FrozenGraph::Freeze(g);
+  RulesetPlan plan = RulesetPlan::Compile(sigma);
+  std::vector<Violation> emitted;
+  uint64_t checked = 0;
+  for (const PlanBucket& bucket : plan.buckets) {
+    ScanBucket(frozen, bucket, MatchOptions{}, &checked,
+               [&](size_t ged_index, const Match& h) {
+                 emitted.push_back(Violation{ged_index, h});
+                 return true;
+               });
+  }
+  std::vector<Violation> reference = emitted;
+  std::sort(reference.begin(), reference.end(), ViolationLess);
+  std::vector<Violation> sorted = emitted;
+  SortViolationList(&sorted);
+  if (sorted != reference) {
+    state.SkipWithError("SortViolationList disagrees with std::sort");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Violation> rows = emitted;
+    state.ResumeTiming();
+    if (mode == 1) {
+      SortViolationList(&rows);
+    } else {
+      std::sort(rows.begin(), rows.end(), ViolationLess);
+    }
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["violations"] = static_cast<double>(emitted.size());
+}
+
 // --profile mode: the ScenarioPlanVsLegacy workload (the realistic
 // plan-sharing regime — Example1Geds + MusicKeys over a 200-product KB) run
 // once under an ObsSession, rendered as the EXPLAIN table plus JSON/Chrome
@@ -380,6 +465,12 @@ BENCHMARK_CAPTURE(BM_Validation_SharedPlan, legacy, false)
 BENCHMARK_CAPTURE(BM_Validation_ScenarioPlanVsLegacy, legacy, 0);
 BENCHMARK_CAPTURE(BM_Validation_ScenarioPlanVsLegacy, compiled, 1);
 BENCHMARK_CAPTURE(BM_Validation_ScenarioPlanVsLegacy, precompiled, 2);
+BENCHMARK_CAPTURE(BM_ReportBuild, validate, 0)
+    ->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReportBuild, sort_violation_list, 1)
+    ->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReportBuild, std_sort, 2)
+    ->Arg(512)->Unit(benchmark::kMillisecond);
 
 // Custom main (instead of benchmark_main) so --profile can divert into the
 // EXPLAIN run before benchmark::Initialize rejects the unknown flag.

@@ -950,7 +950,8 @@ VarId MostSelectiveVariableImpl(const Pattern& q, const GView& g) {
 }
 
 template <GraphView GView>
-bool IsValidMatchImpl(const Pattern& q, const GView& g, const Match& h) {
+bool IsValidMatchImpl(const Pattern& q, const GView& g,
+                      std::span<const NodeId> h) {
   if (h.size() != q.NumVars()) return false;
   for (VarId x = 0; x < q.NumVars(); ++x) {
     if (h[x] >= g.NumNodes()) return false;
@@ -1021,11 +1022,13 @@ std::vector<Match> AllMatches(const Pattern& q, const FrozenGraph& g,
   return AllMatchesImpl(q, g, options);
 }
 
-bool IsValidMatch(const Pattern& q, const Graph& g, const Match& h) {
+bool IsValidMatch(const Pattern& q, const Graph& g,
+                  std::span<const NodeId> h) {
   return IsValidMatchImpl(q, g, h);
 }
 
-bool IsValidMatch(const Pattern& q, const FrozenGraph& g, const Match& h) {
+bool IsValidMatch(const Pattern& q, const FrozenGraph& g,
+                  std::span<const NodeId> h) {
   return IsValidMatchImpl(q, g, h);
 }
 
@@ -1065,7 +1068,8 @@ std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
   return AllMatchesImpl(q, g, options);
 }
 
-bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h) {
+bool IsValidMatch(const Pattern& q, const OverlayView& g,
+                  std::span<const NodeId> h) {
   return IsValidMatchImpl(q, g, h);
 }
 

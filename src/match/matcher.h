@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/frozen.h"
@@ -188,10 +189,15 @@ std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
 
 /// Verifies that an explicit assignment is a homomorphic match of `q` in
 /// `g`: every variable bound to an in-range node with L_Q(x) ≼ L(h(x)), and
-/// every pattern edge present with a matching label.
-bool IsValidMatch(const Pattern& q, const Graph& g, const Match& h);
-bool IsValidMatch(const Pattern& q, const FrozenGraph& g, const Match& h);
-bool IsValidMatch(const Pattern& q, const OverlayView& g, const Match& h);
+/// every pattern edge present with a matching label. `h` is any contiguous
+/// run of ids — a Match and a report row (reason/validation.h MatchRow)
+/// both convert implicitly.
+bool IsValidMatch(const Pattern& q, const Graph& g,
+                  std::span<const NodeId> h);
+bool IsValidMatch(const Pattern& q, const FrozenGraph& g,
+                  std::span<const NodeId> h);
+bool IsValidMatch(const Pattern& q, const OverlayView& g,
+                  std::span<const NodeId> h);
 
 /// The most selective variable of `q` in `g` by the matcher's own ordering
 /// statistics: smallest label-index candidate count, ties to the highest

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -276,13 +277,26 @@ void AccountBucketScan(const PlanBucket& bucket, size_t bucket_id,
   }
   if (profiler == nullptr) return;
   profiler->DeclareBucket(bucket_id, PatternDesc(bucket.pattern));
-  for (const PlanRule& r : bucket.rules) {
+  // One pass over the appended rows: (ged_index, member position) sorted by
+  // ged_index maps each row to its rule's counter.
+  std::vector<std::pair<size_t, size_t>> slot;
+  slot.reserve(bucket.rules.size());
+  for (size_t k = 0; k < bucket.rules.size(); ++k) {
+    slot.emplace_back(bucket.rules[k].ged_index, k);
+  }
+  std::sort(slot.begin(), slot.end());
+  std::vector<uint64_t> viols(bucket.rules.size(), 0);
+  for (size_t i = viol_start; i < ws->violations.size(); ++i) {
+    auto it = std::lower_bound(
+        slot.begin(), slot.end(),
+        std::make_pair(ws->violations[i].ged_index, size_t{0}));
+    ++viols[it->second];
+  }
+  for (size_t k = 0; k < bucket.rules.size(); ++k) {
+    const PlanRule& r = bucket.rules[k];
     profiler->DeclareRule(r.ged_index, r.name, bucket_id);
-    uint64_t viols = 0;
-    for (size_t i = viol_start; i < ws->violations.size(); ++i) {
-      if (ws->violations[i].ged_index == r.ged_index) ++viols;
-    }
-    profiler->AddRuleCounts(r.ged_index, stats.matches, viols, stats.aborted);
+    profiler->AddRuleCounts(r.ged_index, stats.matches, viols[k],
+                            stats.aborted);
   }
 }
 
@@ -708,24 +722,147 @@ ValidationReport ValidateWithPlan(const OverlayView& g,
   return report;
 }
 
+namespace {
+
+constexpr unsigned kDigitBits = 16;
+constexpr uint64_t kDigitMax = (uint64_t{1} << kDigitBits) - 1;
+
+// One 16-bit digit of a row's sort key: key(row) >> shift, masked. `max_key`
+// bounds key over the list, so the pass needs min(max_key >> shift,
+// kDigitMax) + 1 counters.
+struct DigitPass {
+  size_t column;  // key = column's id + 1, or 0 past the row's end;
+                  // kGedColumn: key = ged_index
+  unsigned shift;
+  uint64_t max_key;
+
+  size_t Counters() const {
+    return static_cast<size_t>(std::min(max_key >> shift, kDigitMax)) + 1;
+  }
+};
+constexpr size_t kGedColumn = ~size_t{0};
+
+inline uint64_t RowKey(const Violation& v, size_t column) {
+  if (column == kGedColumn) return v.ged_index;
+  return column < v.match.size() ? uint64_t{v.match[column]} + 1 : 0;
+}
+
+// Appends the passes of one key, least significant digit first; a key whose
+// maximum fits one digit takes one pass.
+void AddKeyPasses(size_t column, uint64_t max_key,
+                  std::vector<DigitPass>* passes) {
+  unsigned shift = 0;
+  do {
+    passes->push_back(DigitPass{column, shift, max_key});
+    shift += kDigitBits;
+  } while (shift < 64 && (max_key >> shift) != 0);
+}
+
+// One stable counting pass: reorders `perm` (row indices) by the pass's
+// digit. The digits are read off the rows in storage order — a sequential
+// scan that also yields the histogram — so the reorder gathers from the
+// small `digits` array, not from the rows. Skipped when every row shares
+// the digit.
+void CountingPass(const std::vector<Violation>& rows, const DigitPass& pass,
+                  std::vector<uint32_t>* perm, std::vector<uint32_t>* next,
+                  std::vector<uint16_t>* digits,
+                  std::vector<uint32_t>* counts) {
+  const size_t n = rows.size();
+  counts->assign(pass.Counters() + 1, 0);
+  uint32_t* count = counts->data();
+  uint16_t* digit = digits->data();
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t key = RowKey(rows[i], pass.column);
+    digit[i] = static_cast<uint16_t>((key >> pass.shift) & kDigitMax);
+    ++count[digit[i] + 1];
+  }
+  if (count[digit[0] + 1] == n) return;
+  for (size_t d = 1; d < counts->size(); ++d) count[d] += count[d - 1];
+  const uint32_t* from = perm->data();
+  uint32_t* to = next->data();
+  for (size_t i = 0; i < n; ++i) to[count[digit[from[i]]]++] = from[i];
+  perm->swap(*next);
+}
+
+// Moves rows so that rows[i] becomes the old rows[perm[i]], one cycle of
+// the permutation at a time: one row is held aside per cycle, never a
+// second copy of the list. Consumes `perm`.
+void ApplyPermutation(std::vector<uint32_t>* perm,
+                      std::vector<Violation>* rows) {
+  uint32_t* p = perm->data();
+  const uint32_t n = static_cast<uint32_t>(perm->size());
+  for (uint32_t i = 0; i < n; ++i) {
+    if (p[i] == i) continue;
+    Violation held = std::move((*rows)[i]);
+    uint32_t j = i;
+    while (p[j] != i) {
+      uint32_t src = p[j];
+      (*rows)[j] = std::move((*rows)[src]);
+      p[j] = j;
+      j = src;
+    }
+    (*rows)[j] = std::move(held);
+    p[j] = j;
+  }
+}
+
+}  // namespace
+
 void SortViolationList(std::vector<Violation>* violations) {
-  std::sort(violations->begin(), violations->end(), ViolationLess);
+  const size_t n = violations->size();
+  size_t arity = 0;
+  uint64_t max_id_key = 0;
+  size_t min_ged = std::numeric_limits<size_t>::max();
+  size_t max_ged = 0;
+  for (const Violation& v : *violations) {
+    arity = std::max(arity, v.match.size());
+    min_ged = std::min(min_ged, v.ged_index);
+    max_ged = std::max(max_ged, v.ged_index);
+    for (NodeId id : v.match) max_id_key = std::max<uint64_t>(max_id_key, id);
+  }
+  if (arity > 0) ++max_id_key;  // keys are id + 1
+
+  // Least significant key first: the last column, ..., column 0, then
+  // ged_index (unless every row shares it). Every column's key range is the
+  // list-wide one.
+  std::vector<DigitPass> passes;
+  for (size_t c = arity; c-- > 0;) AddKeyPasses(c, max_id_key, &passes);
+  if (min_ged != max_ged) AddKeyPasses(kGedColumn, max_ged, &passes);
+  if (passes.empty()) return;  // no columns, one GED: all rows are equal
+  size_t counters = 0;
+  for (const DigitPass& pass : passes) {
+    counters = std::max(counters, pass.Counters());
+  }
+  if (counters > kViolationRadixMaxCountersPerRow * n ||
+      n > std::numeric_limits<uint32_t>::max()) {
+    std::sort(violations->begin(), violations->end(), ViolationLess);
+    return;
+  }
+
+  std::vector<uint32_t> perm(n), next(n), counts;
+  std::vector<uint16_t> digits(n);
+  for (uint32_t i = 0; i < n; ++i) perm[i] = i;
+  for (const DigitPass& pass : passes) {
+    CountingPass(*violations, pass, &perm, &next, &digits, &counts);
+  }
+  next = {};  // only perm is needed from here: release the scratch first
+  digits = {};
+  ApplyPermutation(&perm, violations);
 }
 
 void TruncateViolationsPerGed(std::vector<Violation>* violations,
                               uint64_t cap) {
   if (cap == 0 || violations->empty()) return;
-  std::vector<Violation> kept;
-  kept.reserve(violations->size());
-  size_t run = 0;
-  for (size_t i = 0; i < violations->size(); ++i) {
-    if (i > 0 && (*violations)[i].ged_index != (*violations)[i - 1].ged_index) {
-      run = 0;
-    }
-    if (run < cap) kept.push_back(std::move((*violations)[i]));
-    ++run;
+  std::vector<Violation>& v = *violations;
+  size_t write = 0;
+  uint64_t run = 0;
+  for (size_t read = 0; read < v.size(); ++read) {
+    if (read > 0 && v[read].ged_index != v[read - 1].ged_index) run = 0;
+    if (run++ >= cap) continue;
+    if (write != read) v[write] = std::move(v[read]);
+    ++write;
   }
-  *violations = std::move(kept);
+  v.erase(v.begin() + write, v.end());
 }
 
 size_t EraseViolationsTouching(std::vector<Violation>* violations,

@@ -28,7 +28,10 @@
 #ifndef GEDLIB_REASON_VALIDATION_H_
 #define GEDLIB_REASON_VALIDATION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "ged/ged.h"
@@ -39,12 +42,94 @@
 
 namespace ged {
 
+/// One report row: the binding h(x̄) of a violating match, in the rule's own
+/// variable order (row[x] = h(x)). A value type with no per-row heap
+/// allocation for patterns of up to kInlineCapacity variables — the
+/// practical regime of §5.3 — whose ids are stored inside the object; a
+/// wider row spills to one heap block of exactly size() ids. Rows are
+/// immutable once built. Read one by index or as a std::span<const NodeId>
+/// (IsValidMatch takes one); there is deliberately no conversion back to
+/// Match, so no allocation can hide in reading a report.
+class MatchRow {
+ public:
+  static constexpr size_t kInlineCapacity = 6;
+
+  MatchRow() = default;
+  MatchRow(const Match& h) : MatchRow(std::span<const NodeId>(h)) {}
+  MatchRow(std::initializer_list<NodeId> ids)
+      : MatchRow(std::span<const NodeId>(ids.begin(), ids.size())) {}
+  MatchRow(const MatchRow& o) : MatchRow(std::span<const NodeId>(o)) {}
+  MatchRow(MatchRow&& o) noexcept : store_(o.store_), size_(o.size_) {
+    o.size_ = 0;
+  }
+  MatchRow& operator=(const MatchRow& o) {
+    if (this != &o) {
+      Release();
+      Assign(o);
+    }
+    return *this;
+  }
+  MatchRow& operator=(MatchRow&& o) noexcept {
+    if (this != &o) {
+      Release();
+      store_ = o.store_;
+      size_ = o.size_;
+      o.size_ = 0;
+    }
+    return *this;
+  }
+  ~MatchRow() { Release(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const NodeId* data() const { return spilled() ? store_.heap : store_.ids; }
+  const NodeId* begin() const { return data(); }
+  const NodeId* end() const { return data() + size_; }
+  NodeId operator[](size_t i) const { return data()[i]; }
+
+  friend bool operator==(const MatchRow& a, const MatchRow& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  /// Lexicographic, as on Match: a proper prefix sorts first.
+  friend bool operator<(const MatchRow& a, const MatchRow& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+
+ private:
+  explicit MatchRow(std::span<const NodeId> ids) { Assign(ids); }
+
+  bool spilled() const { return size_ > kInlineCapacity; }
+  // Precondition: no heap block is held (fresh or just released). size_ is
+  // set last, so a failed allocation leaves an empty row.
+  void Assign(std::span<const NodeId> ids) {
+    NodeId* dst = store_.ids;
+    if (ids.size() > kInlineCapacity) {
+      dst = store_.heap = new NodeId[ids.size()];
+    }
+    std::copy(ids.begin(), ids.end(), dst);
+    size_ = static_cast<uint32_t>(ids.size());
+  }
+  void Release() {
+    if (spilled()) delete[] store_.heap;
+    size_ = 0;
+  }
+
+  union Store {
+    NodeId ids[kInlineCapacity];
+    NodeId* heap;
+  } store_{};
+  uint32_t size_ = 0;
+};
+
 /// A violating match: h ⊨ X but h ⊭ Y for sigma[ged_index].
 struct Violation {
   size_t ged_index;
-  Match match;
+  MatchRow match;
   bool operator==(const Violation&) const = default;
 };
+static_assert(sizeof(Violation) <= 40,
+              "a report row must stay within 40 bytes");
 
 /// The strict weak order of violation reports — (ged_index, match). All
 /// sorted-violation invariants (SortViolationList, MergeViolations,
@@ -206,12 +291,27 @@ ValidationReport ValidateWithPlan(const OverlayView& g,
 // retract violations binding a touched node, re-scan only the touched region
 // of the match space, merge.
 
-/// Sorts by (ged_index, match) — the ValidationReport order invariant.
+/// SortViolationList's cutoff between std::sort and its radix sort: the
+/// radix sort runs when its widest counting array has at most this many
+/// counters per row to sort. Below that, clearing and prefix-summing the
+/// counters costs more than the comparisons they save.
+inline constexpr size_t kViolationRadixMaxCountersPerRow = 16;
+
+/// Sorts by (ged_index, match) — the ValidationReport order invariant —
+/// with an LSD radix sort over a uint32_t permutation of the rows. Column c
+/// of a row keys as its id + 1, or as 0 when the row is shorter, so a
+/// shorter row sorts first exactly as lexicographic order requires and
+/// mixed arities need no special case. Keys are split into 16-bit digits
+/// (one counting pass per column while every id is below 65535), last
+/// column first; a final counting pass orders ged_index. The permutation
+/// is then applied in place by walking its cycles, so no second copy of the
+/// rows exists at any time. A list whose widest counting array would exceed
+/// kViolationRadixMaxCountersPerRow counters per row keeps std::sort.
 void SortViolationList(std::vector<Violation>* violations);
 
 /// Truncates a sorted violation list to the `cap` ViolationLess-smallest
-/// entries per GED (no-op when cap is 0). The deterministic-cap primitive
-/// shared by every validation path.
+/// entries per GED (no-op when cap is 0), compacting in place. The
+/// deterministic-cap primitive shared by every validation path.
 void TruncateViolationsPerGed(std::vector<Violation>* violations,
                               uint64_t cap);
 

@@ -12,6 +12,7 @@
 #include "ged/canonical.h"
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
+#include "graph/frozen.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "plan/plan.h"
@@ -141,7 +142,8 @@ TEST(RulesetPlan, EmptySigmaAndEmptyPattern) {
 
 // ----- differential: compiled vs legacy -------------------------------------
 
-void ExpectPathsAgree(const Graph& g, const std::vector<Ged>& sigma,
+template <typename GView>
+void ExpectPathsAgree(const GView& g, const std::vector<Ged>& sigma,
                       ValidationOptions opts) {
   opts.policy.plan = PlanMode::kPerRule;
   ValidationReport legacy = Validate(g, sigma, opts);
@@ -279,6 +281,65 @@ TEST(PlanDifferential, SeededByEdgesAgrees) {
       FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_compiled);
   EXPECT_EQ(compiled, legacy);
   EXPECT_EQ(checked_compiled, checked_legacy);
+}
+
+// Report rows wider than MatchRow::kInlineCapacity spill to the heap. A 7-
+// and an 8-variable rule (plus a variable-reversed copy of the 8-variable
+// one, so a bucket permutes spilled rows back into rule order) next to a
+// 3-variable rule: the reports mix inline and spilled rows, and must agree
+// between the compiled and per-rule paths, between the mutable Graph and
+// its FrozenGraph snapshot, at 1 and 4 threads, capped or not.
+TEST(PlanDifferential, SpilledRowsAgree) {
+  Graph g;
+  const size_t n = 36;
+  for (size_t i = 0; i < n; ++i) {
+    NodeId v = g.AddNode("n");
+    g.SetAttr(v, "a", Value(static_cast<int64_t>(i % 3)));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t step : {1u, 5u}) {
+      g.AddEdge(static_cast<NodeId>(i), "e",
+                static_cast<NodeId>((i + step) % n));
+    }
+  }
+  auto path_rule = [](const std::string& name, size_t vars) {
+    Pattern q;
+    for (size_t i = 0; i < vars; ++i) q.AddVar("x" + std::to_string(i), "n");
+    for (size_t i = 0; i + 1 < vars; ++i) {
+      q.AddEdge(static_cast<VarId>(i), "e", static_cast<VarId>(i + 1));
+    }
+    const AttrId a = Sym("a");
+    return Ged(name, std::move(q), {},
+               {Literal::Var(0, a, static_cast<VarId>(vars - 1), a)});
+  };
+  std::vector<Ged> sigma = {path_rule("path7", 7), path_rule("path3", 3),
+                            path_rule("path8", 8)};
+  std::vector<VarId> reverse(8);
+  for (VarId x = 0; x < 8; ++x) reverse[x] = static_cast<VarId>(7 - x);
+  sigma.push_back(PermuteGed(sigma[2], reverse));
+  ASSERT_GT(sigma[0].pattern().NumVars(), MatchRow::kInlineCapacity);
+
+  const FrozenGraph frozen = FrozenGraph::Freeze(g);
+  for (uint64_t cap : {uint64_t{0}, uint64_t{5}}) {
+    for (unsigned threads : {1u, 4u}) {
+      ValidationOptions opts;
+      opts.num_threads = threads;
+      opts.max_violations_per_ged = cap;
+      ExpectPathsAgree(g, sigma, opts);
+      ExpectPathsAgree(frozen, sigma, opts);
+      ValidationReport report = Validate(g, sigma, opts);
+      EXPECT_EQ(Validate(frozen, sigma, opts).violations, report.violations);
+      size_t spilled = 0;
+      for (const Violation& v : report.violations) {
+        const Pattern& q = sigma[v.ged_index].pattern();
+        ASSERT_EQ(v.match.size(), q.NumVars());
+        EXPECT_TRUE(IsValidMatch(q, g, v.match));
+        if (v.match.size() > MatchRow::kInlineCapacity) ++spilled;
+      }
+      EXPECT_GT(spilled, 0u);
+      EXPECT_LT(spilled, report.violations.size());
+    }
+  }
 }
 
 // ----- differential: random delta streams (incr_test stream machinery) -----
