@@ -8,7 +8,7 @@
 // BM_DensePattern is the worst-case-optimal candidate-generation gate: the
 // clique patterns of the dense community scenario (gen/scenarios.h) against
 // the frozen backend, k-way leapfrog intersection vs the legacy
-// pick-smallest-list path (MatchOptions::use_intersection off). The
+// pick-smallest-list path (MatchOptions::join = kPickSmallest). The
 // acceptance bar is intersection ≥ 1.5× legacy on the 4-clique; the CI
 // compare step tracks both series in BENCH_matcher.json.
 
@@ -47,7 +47,8 @@ void BM_Ablation_Q5(benchmark::State& state, bool degree, bool smart,
   MatchOptions opts;
   opts.degree_filter = degree;
   opts.smart_order = smart;
-  opts.use_intersection = intersection;
+  opts.join =
+      intersection ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
   uint64_t steps = 0;
   auto cb = [](const Match&) { return true; };
   for (auto _ : state) {
@@ -81,7 +82,8 @@ void BM_Ablation_RandomGraph(benchmark::State& state, bool degree,
   MatchOptions opts;
   opts.degree_filter = degree;
   opts.smart_order = smart;
-  opts.use_intersection = intersection;
+  opts.join =
+      intersection ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
   uint64_t steps = 0;
   auto cb = [](const Match&) { return true; };
   for (auto _ : state) {
@@ -109,7 +111,8 @@ void BM_DensePattern(benchmark::State& state, size_t pattern_index,
   // host. The per-backend story lives in BM_KernelAblation below.
   ScopedKernelOverride pin(KernelBackend::kScalar);
   MatchOptions opts;
-  opts.use_intersection = intersection;
+  opts.join =
+      intersection ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
   uint64_t matches = 0, steps = 0;
   auto cb = [](const Match&) { return true; };
   for (auto _ : state) {
@@ -228,7 +231,7 @@ int RegisterKernelAblation() {
 const int kKernelAblationRegistered = RegisterKernelAblation();
 
 // The same toggle end to end through validation (freeze + compiled plan +
-// X→Y checks included): what use_intersection buys a full Validate call on
+// X→Y checks included): what the leapfrog join buys a full Validate call on
 // the dense workload.
 void BM_DenseValidation(benchmark::State& state, bool intersection) {
   DenseParams params;

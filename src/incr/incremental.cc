@@ -19,10 +19,6 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
   // never be reconciled exactly, so the defense budget is full-validation
   // only.
   options_.max_steps_per_scan = 0;
-  // Normalize the execution policy once: fold the deprecated boolean
-  // aliases in, so every read below (and every ValidationOptions handed to
-  // reason/) sees the same resolved policy.
-  options_.policy = EffectiveExecutionPolicy(options_);
   if (Status s = ValidateExecutionPolicy(options_.policy,
                                          ExecutionSurface::kIncremental);
       !s.ok()) {
@@ -38,14 +34,10 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
     options_.policy.kernel = KernelBackend::kAuto;
   }
   // Compile Σ once; every seed pass and commit re-scan shares it.
-  if (options_.policy.plan == PlanMode::kCompiled) {
-    plan_ = RulesetPlan::Compile(sigma_);
-  }
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-    overlay_ = OverlayView(std::make_shared<FrozenGraph>(
-                               FrozenGraph::Freeze(graph_, options_.obs)),
-                           /*epoch=*/0);
-  }
+  plan_ = RulesetPlan::Compile(sigma_);
+  overlay_ = OverlayView(std::make_shared<FrozenGraph>(
+                             FrozenGraph::Freeze(graph_, options_.obs)),
+                         /*epoch=*/0);
   OpenWal();
   report_ = RevalidateFull();
 }
@@ -82,8 +74,8 @@ void IncrementalValidator::MirrorWalMetrics() {
 
 Result<std::unique_ptr<IncrementalValidator>> IncrementalValidator::Create(
     Graph g, std::vector<Ged> sigma, ValidationOptions options) {
-  Status s = ValidateExecutionPolicy(EffectiveExecutionPolicy(options),
-                                     ExecutionSurface::kIncremental);
+  Status s =
+      ValidateExecutionPolicy(options.policy, ExecutionSurface::kIncremental);
   if (!s.ok()) return s;
   auto v = std::make_unique<IncrementalValidator>(std::move(g),
                                                   std::move(sigma),
@@ -379,13 +371,11 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   // this delta so overlay_ equals graph_ for the re-scans below. A commit
   // landing while a freeze is still running is queued for replay onto the
   // new epoch.
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-    MaybeAdoptRefreeze();
-    if (!delta.Apply(&overlay_).ok()) {
-      RebuildOverlay();
-    } else if (refreeze_running_) {
-      pending_.push_back(delta);
-    }
+  MaybeAdoptRefreeze();
+  if (!delta.Apply(&overlay_).ok()) {
+    RebuildOverlay();
+  } else if (refreeze_running_) {
+    pending_.push_back(delta);
   }
 
   // 1. Retract violations whose X→Y status may have flipped: an attribute
@@ -405,18 +395,8 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   std::vector<Violation> fresh_v;
   {
     ScopedSpan touching_span(options_.obs.Trace(), "SeedTouching");
-    const bool on_overlay =
-        options_.policy.commit_backend == CommitBackend::kOverlay;
-    const bool compiled = options_.policy.plan == PlanMode::kCompiled;
     ValidationReport fresh =
-        on_overlay
-            ? (compiled
-                   ? ValidateTouchingWithPlan(overlay_, plan_, rescan,
-                                              options_)
-                   : ValidateTouching(overlay_, sigma_, rescan, options_))
-            : (compiled
-                   ? ValidateTouchingWithPlan(graph_, plan_, rescan, options_)
-                   : ValidateTouching(graph_, sigma_, rescan, options_));
+        ValidateTouchingWithPlan(overlay_, plan_, rescan, options_);
     checked = fresh.matches_checked;
     fresh_v = std::move(fresh.violations);
   }
@@ -427,22 +407,9 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
     std::vector<Violation> seeded;
     {
       ScopedSpan edges_span(options_.obs.Trace(), "SeedEdges");
-      if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-        seeded = options_.policy.plan == PlanMode::kCompiled
-                     ? FindViolationsSeededByEdgesWithPlan(
-                           overlay_, plan_, ap.cross_edges, options_,
-                           &checked)
-                     : FindViolationsSeededByEdges(overlay_, sigma_,
+      seeded = FindViolationsSeededByEdgesWithPlan(overlay_, plan_,
                                                    ap.cross_edges, options_,
                                                    &checked);
-      } else {
-        seeded = options_.policy.plan == PlanMode::kCompiled
-                     ? FindViolationsSeededByEdgesWithPlan(
-                           graph_, plan_, ap.cross_edges, options_, &checked)
-                     : FindViolationsSeededByEdges(graph_, sigma_,
-                                                   ap.cross_edges, options_,
-                                                   &checked);
-      }
     }
     fresh_v.insert(fresh_v.end(), std::make_move_iterator(seeded.begin()),
                    std::make_move_iterator(seeded.end()));
@@ -477,9 +444,7 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
   stats_.total_added += stats_.added;
   stats_.total_matches_checked += checked;
 
-  if (options_.policy.commit_backend == CommitBackend::kOverlay) {
-    MaybeStartRefreeze();
-  }
+  MaybeStartRefreeze();
 
   if (MetricsRegistry* metrics = options_.obs.Metrics()) {
     metrics->Inc(EngineMetric::kCommitRuns);
@@ -528,10 +493,7 @@ Result<GraphDelta::Applied> IncrementalValidator::Commit(
 }
 
 ValidationReport IncrementalValidator::RevalidateFull() const {
-  if (options_.policy.plan == PlanMode::kCompiled) {
-    return ValidateWithPlan(graph_, plan_, options_);
-  }
-  return Validate(graph_, sigma_, options_);
+  return ValidateWithPlan(graph_, plan_, options_);
 }
 
 }  // namespace ged

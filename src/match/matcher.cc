@@ -59,7 +59,7 @@ SearchScratch& TlsScratch() {
 // candidate generator and the degree filter upgrade from filter-and-collect
 // scans to range extraction and binary search. Where it additionally
 // provides columnar neighbor-id spans (HasNeighborSpans) and
-// options.use_intersection is set, candidate generation upgrades once more
+// options.join is not kPickSmallest, candidate generation upgrades once more
 // to the worst-case-optimal k-way leapfrog intersection of *every* sorted
 // list constraining the variable, with per-depth variable selection driven
 // by the intersected-range cardinalities.
@@ -746,7 +746,7 @@ class Search {
     if (prof_ != nullptr) ++prof_->depths[depth].extends;
     size_t pick = depth;
     if constexpr (kIntersectable) {
-      if (opts_.use_intersection && opts_.smart_order &&
+      if (opts_.join != JoinStrategy::kPickSmallest && opts_.smart_order &&
           depth + 1 < order_.size()) {
         pick = PickVarPosition(depth);
         if (pick != depth && prof_ != nullptr) {
@@ -766,7 +766,7 @@ class Search {
     };
     bool keep_going;
     if constexpr (kIntersectable) {
-      keep_going = opts_.use_intersection
+      keep_going = opts_.join != JoinStrategy::kPickSmallest
                        ? ExtendIntersect(x, depth, try_node)
                        : ExtendLegacy(x, depth, try_node);
     } else {

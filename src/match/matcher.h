@@ -21,8 +21,9 @@
 //
 // The search runs against any GraphView backend (graph/view.h): every entry
 // point is overloaded for the mutable Graph, the immutable FrozenGraph
-// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). Both overloads share one templated implementation, so match
-// sets are identical; against a FrozenGraph the search additionally exploits
+// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). All
+// overloads share one templated implementation, so match sets are
+// identical; against a FrozenGraph the search additionally exploits
 // label-contiguous adjacency (candidates come pre-sorted and pre-filtered,
 // degree filtering is a binary search).
 
@@ -48,6 +49,14 @@ enum class MatchSemantics {
   kIsomorphism,   ///< injective mapping; the [19]/[23] baseline
 };
 
+/// How the matcher generates candidates per search variable.
+enum class JoinStrategy : uint8_t {
+  kAuto = 0,       ///< leapfrog where the backend supports it (default)
+  kLeapfrog,       ///< require the worst-case-optimal k-way intersection;
+                   ///< invalid where no span-capable backend will serve it
+  kPickSmallest,   ///< legacy scan-smallest-list generator (ablation)
+};
+
 /// A full assignment h(x̄): match[x] is the graph node bound to variable x.
 using Match = std::vector<NodeId>;
 
@@ -63,16 +72,17 @@ struct MatchOptions {
   /// Order variables connectivity-first / most-constrained-first instead of
   /// x̄ order.
   bool smart_order = true;
-  /// Generate candidates by k-way leapfrog intersection over all sorted
-  /// lists constraining a variable (bound pattern-neighbor CSR label
-  /// ranges, restriction lists, the label index) instead of scanning the
-  /// single smallest list and rejecting per candidate with binary-search
-  /// edge probes. Worst-case-optimal on dense multi-constraint patterns;
-  /// identical match sets either way. Only engages on backends with
-  /// columnar sorted neighbor spans (HasNeighborSpans — the FrozenGraph
-  /// CSR snapshot); the mutable Graph always takes the legacy path, whose
+  /// Candidate generation. kAuto and kLeapfrog run the k-way leapfrog
+  /// intersection over all sorted lists constraining a variable (bound
+  /// pattern-neighbor CSR label ranges, restriction lists, the label index);
+  /// kPickSmallest scans the single smallest list and rejects per candidate
+  /// with binary-search edge probes. Worst-case-optimal on dense
+  /// multi-constraint patterns; identical match sets either way. The
+  /// intersection only engages on backends with columnar sorted neighbor
+  /// spans (HasNeighborSpans — the FrozenGraph CSR snapshot and the
+  /// overlay); the mutable Graph always takes the pick-smallest path, whose
   /// unsorted adjacency has nothing to intersect.
-  bool use_intersection = true;
+  JoinStrategy join = JoinStrategy::kAuto;
   /// Which intersection-kernel backend the k-way path runs on
   /// (match/kernels/registry.h). kAuto defers to runtime detection; an
   /// explicit backend that is unavailable in this binary / on this host

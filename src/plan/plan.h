@@ -84,8 +84,8 @@ using PlanViolationCallback =
 /// Enumerates `bucket.pattern` once under `mopts`; for every match and every
 /// member rule, increments *checked and reports the rule's violations
 /// (h ⊨ X but h ⊭ Y). A bucket scan therefore inspects exactly the
-/// (match, rule) pairs the legacy per-GED path would, so `checked` counts
-/// agree with it. Overloaded per read backend; reports are bit-identical
+/// (match, rule) pairs one scan per rule would, so `checked` counts agree
+/// with Σ over rules of #matches. Overloaded per read backend; reports are bit-identical
 /// between the mutable Graph and a FrozenGraph snapshot of it.
 MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,

@@ -18,32 +18,12 @@ const char* JoinStrategyName(JoinStrategy v) {
   return "unknown";
 }
 
-const char* PlanModeName(PlanMode v) {
-  switch (v) {
-    case PlanMode::kCompiled:
-      return "compiled";
-    case PlanMode::kPerRule:
-      return "per_rule";
-  }
-  return "unknown";
-}
-
 const char* SnapshotModeName(SnapshotMode v) {
   switch (v) {
     case SnapshotMode::kAuto:
       return "auto";
     case SnapshotMode::kNever:
       return "never";
-  }
-  return "unknown";
-}
-
-const char* CommitBackendName(CommitBackend v) {
-  switch (v) {
-    case CommitBackend::kOverlay:
-      return "overlay";
-    case CommitBackend::kMutable:
-      return "mutable";
   }
   return "unknown";
 }
@@ -69,14 +49,6 @@ Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
         "join=leapfrog requires a frozen CSR snapshot, but snapshot=never "
         "forces the mutable-graph scan, whose unsorted adjacency has no "
         "spans to intersect; use snapshot=auto or join=auto");
-  }
-  if (policy.join == JoinStrategy::kLeapfrog &&
-      surface == ExecutionSurface::kIncremental &&
-      policy.commit_backend == CommitBackend::kMutable) {
-    return Status::InvalidArgument(
-        "join=leapfrog with commit_backend=mutable: incremental commit "
-        "re-scans read the mutable graph, which has no sorted neighbor "
-        "spans to intersect; use commit_backend=overlay or join=auto");
   }
   if (policy.kernel != KernelBackend::kAuto &&
       policy.join == JoinStrategy::kPickSmallest) {

@@ -1,22 +1,14 @@
-// ExecutionPolicy: the coherent engine-execution options API.
+// ExecutionPolicy: the engine-execution options, one validated struct.
 //
-// The engine's execution knobs grew up as independent booleans on
-// ValidationOptions (use_intersection / use_compiled_plan / freeze_snapshot
-// / use_overlay), which made the *interactions* between them inexpressible:
-// the k-way intersection needs a backend with sorted columnar spans, so
-// "intersection on, overlay off" on the incremental path was silently inert
-// (diagnosed only by a runtime structured-log warning), and there was no
-// way at all to say "I require the leapfrog join" or "run it on this SIMD
-// backend". ExecutionPolicy replaces the sprawl with one validated struct:
-// each field is an enum whose kAuto/default means "the engine decides", and
-// ValidateExecutionPolicy rejects combinations that cannot do what they
-// claim with Status::InvalidArgument *before* any work starts — at
-// options-validation time, not as a mid-run warning.
-//
-// The old booleans remain on ValidationOptions as deprecated thin aliases
-// for one release (see the README migration table); they fold into the
-// policy through EffectiveExecutionPolicy(), with an explicitly set policy
-// field always winning over an alias.
+// Each field is an enum whose kAuto/default means "the engine decides":
+// the matcher's join strategy, the SIMD kernel backend of the leapfrog
+// join, and whether full validation freezes a mutable graph into a CSR
+// snapshot. Some combinations cannot do what they claim — the k-way
+// intersection needs a backend with sorted columnar spans, and a forced
+// kernel is dead weight under the pick-smallest join.
+// ValidateExecutionPolicy rejects those with Status::InvalidArgument
+// before any work starts; IncrementalValidator::Create calls it, and
+// callers of Validate check with it themselves.
 
 #ifndef GEDLIB_REASON_POLICY_H_
 #define GEDLIB_REASON_POLICY_H_
@@ -26,22 +18,9 @@
 
 #include "common/status.h"
 #include "match/kernels/kernel.h"
+#include "match/matcher.h"
 
 namespace ged {
-
-/// How the matcher generates candidates per search variable.
-enum class JoinStrategy : uint8_t {
-  kAuto = 0,       ///< leapfrog where the backend supports it (default)
-  kLeapfrog,       ///< require the worst-case-optimal k-way intersection;
-                   ///< invalid where no span-capable backend will serve it
-  kPickSmallest,   ///< legacy scan-smallest-list generator (ablation)
-};
-
-/// How a ruleset Σ is evaluated.
-enum class PlanMode : uint8_t {
-  kCompiled = 0,  ///< shared ruleset plan, one walk per pattern shape
-  kPerRule,       ///< legacy per-GED enumeration (differential/ablation)
-};
 
 /// Whether full validation compiles a mutable graph into a FrozenGraph CSR
 /// snapshot before scanning.
@@ -49,12 +28,6 @@ enum class SnapshotMode : uint8_t {
   kAuto = 0,  ///< freeze above the amortization cutoff, and always when the
               ///< policy requires the leapfrog join (which needs the CSR)
   kNever,     ///< always scan the mutable adjacency (freeze-cost studies)
-};
-
-/// Which backend incremental commits re-scan.
-enum class CommitBackend : uint8_t {
-  kOverlay = 0,  ///< frozen CSR base + delta overlay (serving default)
-  kMutable,      ///< scan the mutable graph directly (pre-overlay baseline)
 };
 
 /// Where a policy is about to be used; some combinations are only
@@ -65,8 +38,8 @@ enum class ExecutionSurface : uint8_t {
 };
 
 /// The validated execution policy. Default-constructed = engine decides
-/// everything (today: compiled plan, leapfrog where possible, snapshot
-/// above cutoff, overlay commits, auto-detected kernel backend).
+/// everything (today: leapfrog where possible, snapshot above cutoff,
+/// auto-detected kernel backend).
 struct ExecutionPolicy {
   JoinStrategy join = JoinStrategy::kAuto;
   /// SIMD intersection backend for the leapfrog join
@@ -74,9 +47,7 @@ struct ExecutionPolicy {
   /// running binary/host, and are inert — hence rejected — when `join`
   /// disables the intersection path.
   KernelBackend kernel = KernelBackend::kAuto;
-  PlanMode plan = PlanMode::kCompiled;
   SnapshotMode snapshot = SnapshotMode::kAuto;
-  CommitBackend commit_backend = CommitBackend::kOverlay;
 
   bool operator==(const ExecutionPolicy&) const = default;
 };
@@ -127,9 +98,6 @@ const char* FsyncPolicyName(DurabilityOptions::Fsync v);
 /// Rejects inert or unsatisfiable combinations with InvalidArgument:
 ///   * join=kLeapfrog with snapshot=kNever on the validation surface — the
 ///     mutable-graph scan has no sorted spans to intersect;
-///   * join=kLeapfrog with commit_backend=kMutable on the incremental
-///     surface — commit re-scans would silently fall back (this replaces
-///     the old runtime "intersection_inert" warning);
 ///   * kernel != kAuto with join=kPickSmallest — a forced backend that can
 ///     never run;
 ///   * kernel != kAuto naming a backend unavailable in this binary or on
@@ -140,9 +108,7 @@ Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
 
 /// Stable lowercase names for log/EXPLAIN rendering.
 const char* JoinStrategyName(JoinStrategy v);
-const char* PlanModeName(PlanMode v);
 const char* SnapshotModeName(SnapshotMode v);
-const char* CommitBackendName(CommitBackend v);
 
 }  // namespace ged
 

@@ -6,24 +6,23 @@
 // patterns of bounded size k (§5.3 "Tractable cases") — which covers
 // real-life patterns (98% of SPARQL patterns have ≤ 4 nodes / 5 edges).
 //
-// Validate() checks X → Y over the homomorphic matches of Σ's patterns. By
-// default Σ is first compiled into a shared plan (plan/plan.h): rules with
-// isomorphic patterns are bucketed into one batched enumeration with
-// per-rule condition callbacks, so a multi-rule Σ over few pattern shapes
-// pays one match-space walk per shape instead of one per rule. The legacy
-// per-GED path is kept behind ExecutionPolicy::plan = kPerRule;
-// the two paths produce bit-identical sorted reports (pinned by the
-// differential harness in tests/plan_diff_test.cc). The paper's future-work
-// item "parallel scalable algorithms" is implemented as a thread pool
-// partitioning the candidate bindings of one pattern variable — the most
-// selective one, by the label-index statistics of graph/.
+// Validate() checks X → Y over the homomorphic matches of Σ's patterns.
+// Σ is compiled into a shared plan (plan/plan.h): rules with isomorphic
+// patterns are bucketed into one batched enumeration with per-rule
+// condition callbacks, so a multi-rule Σ over few pattern shapes pays one
+// match-space walk per shape instead of one per rule. Reports are checked
+// against a naive, test-only reference validator (tests/reference/) that
+// shares no matcher, plan or literal code with this engine. The paper's
+// future-work item "parallel scalable algorithms" is implemented as a
+// thread pool partitioning the candidate bindings of one pattern variable —
+// the most selective one, by the label-index statistics of graph/.
 //
 // Full validation is read-only, so by default (ExecutionPolicy::snapshot,
-// above the amortization cutoff) the graph is first compiled into an immutable FrozenGraph
-// CSR snapshot (graph/frozen.h) and all workers scan its contiguous arrays;
-// the incremental building blocks below keep reading the mutable Graph,
-// whose listener hooks and delta-sized scans IncrementalValidator depends
-// on. Every path produces the same sorted report against either backend.
+// above the amortization cutoff) a mutable Graph is first compiled into an
+// immutable FrozenGraph CSR snapshot (graph/frozen.h) and all workers scan
+// its contiguous arrays. The incremental building blocks below scan the
+// OverlayView (graph/overlay.h) IncrementalValidator serves commits
+// through. Every path produces the same sorted report against any backend.
 
 #ifndef GEDLIB_REASON_VALIDATION_H_
 #define GEDLIB_REASON_VALIDATION_H_
@@ -140,13 +139,6 @@ inline bool ViolationLess(const Violation& a, const Violation& b) {
 }
 
 /// Knobs for Validate().
-///
-/// The deprecated alias members below make the compiler flag the struct's
-/// own implicitly synthesized constructors (their default initializers
-/// read deprecated fields). Suppress inside the definition only; reads and
-/// writes of the aliases in caller code still warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct ValidationOptions {
   /// Keep at most this many violations per GED (0 = all): the
   /// ViolationLess-smallest ones, deterministically — the same report for
@@ -163,48 +155,21 @@ struct ValidationOptions {
   /// Matcher toggles (for the ablation bench).
   bool degree_filter = true;
   bool smart_order = true;
-  /// The coherent execution policy (reason/policy.h): join strategy, SIMD
-  /// kernel backend, plan mode, snapshot mode, incremental commit backend —
-  /// every knob the four deprecated booleans below used to cover, plus the
-  /// ones they could not express (require-leapfrog, forced kernel backend).
-  /// Validate with ValidateExecutionPolicy / IncrementalValidator::Create
-  /// to get InvalidArgument on inert combinations before work starts.
-  /// Entry points taking options resolve EffectiveExecutionPolicy(), so an
-  /// explicitly set policy field always beats a deprecated alias.
-  ///
-  /// Semantics the policy carries (formerly per-bool documentation):
-  ///   * join: worst-case-optimal k-way intersection vs the legacy
-  ///     pick-smallest-list generator. Reports are identical either way;
-  ///     kAuto leapfrogs wherever the backend has sorted columnar spans.
-  ///   * plan: shared ruleset plan vs legacy per-GED enumeration (kept for
-  ///     differential testing and ablation); reports are bit-identical.
+  /// The execution policy (reason/policy.h): join strategy, SIMD kernel
+  /// backend and snapshot mode. Check it with ValidateExecutionPolicy to
+  /// get InvalidArgument on inert combinations before work starts —
+  /// Validate does not; IncrementalValidator::Create does.
+  ///   * join: worst-case-optimal k-way intersection vs the pick-smallest-
+  ///     list generator. Reports are identical either way; kAuto leapfrogs
+  ///     wherever the backend has sorted columnar spans.
   ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
   ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
   ///     kAuto engages above an amortization cutoff (and always under
   ///     join=kLeapfrog, which needs the CSR); kNever scans the mutable
   ///     adjacency (freeze-cost studies). Full Validate on a mutable Graph
-  ///     only — incremental building blocks and FrozenGraph overloads are
-  ///     unaffected.
-  ///   * commit_backend: IncrementalValidator re-scans through an
-  ///     OverlayView delta overlay (CSR label ranges + leapfrog, like full
-  ///     validation) vs the mutable graph directly (pre-overlay baseline);
-  ///     reports are bit-identical (tests/overlay_test.cc).
+  ///     only — the FrozenGraph and OverlayView overloads never re-freeze.
   ExecutionPolicy policy;
-  /// DEPRECATED aliases of `policy`, kept as thin fallbacks for one
-  /// release. Setting one to false maps onto the matching policy field
-  /// (use_intersection → join=kPickSmallest, use_compiled_plan →
-  /// plan=kPerRule, freeze_snapshot → snapshot=kNever, use_overlay →
-  /// commit_backend=kMutable) unless that field was set explicitly. See
-  /// the README "ExecutionPolicy migration" table.
-  [[deprecated("set ValidationOptions::policy.join instead")]]
-  bool use_intersection = true;
-  [[deprecated("set ValidationOptions::policy.plan instead")]]
-  bool use_compiled_plan = true;
-  [[deprecated("set ValidationOptions::policy.snapshot instead")]]
-  bool freeze_snapshot = true;
-  [[deprecated("set ValidationOptions::policy.commit_backend instead")]]
-  bool use_overlay = true;
-  /// Re-freeze cutoff (IncrementalValidator, commit_backend=kOverlay): once
+  /// Re-freeze cutoff (IncrementalValidator): once
   /// overlay's side index outweighs this many entries (OverlayView::
   /// DeltaWeight), a background thread compacts it into a fresh FrozenGraph
   /// base and the validator swaps to a new overlay epoch at the next commit
@@ -230,13 +195,6 @@ struct ValidationOptions {
   /// Ignored by full (non-incremental) validation. Default-disabled.
   DurabilityOptions durability;
 };
-#pragma GCC diagnostic pop
-
-/// Resolves options.policy against the deprecated boolean aliases: a
-/// non-default bool overrides the matching policy field only when that
-/// field is still at its default (an explicit policy always wins). Every
-/// validation/incremental entry point reads the options through this.
-ExecutionPolicy EffectiveExecutionPolicy(const ValidationOptions& options);
 
 /// Validation outcome.
 struct ValidationReport {
@@ -244,9 +202,9 @@ struct ValidationReport {
   bool satisfied = true;
   /// All violations found (sorted by ged_index, then match).
   std::vector<Violation> violations;
-  /// Total (match, rule) pairs inspected across all GEDs. Identical between
-  /// the compiled and legacy paths: a bucket of r rules counts each
-  /// enumerated match r times, exactly as r per-GED scans would.
+  /// Total (match, rule) pairs inspected across all GEDs: a bucket of r
+  /// rules counts each enumerated match r times, exactly as r per-GED scans
+  /// would.
   uint64_t matches_checked = 0;
   /// GED indices (sorted, distinct) whose scan hit
   /// ValidationOptions::max_steps_per_scan — their violation lists may be
@@ -266,7 +224,6 @@ ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
 
 /// Validate() against a pre-compiled plan of the same Σ (amortizes
 /// compilation across repeated validations; incr/ holds one per validator).
-/// policy.plan is ignored — the plan is always used.
 ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
                                   const ValidationOptions& options = {});
 /// Pre-frozen + pre-compiled: the fully amortized serving configuration.
@@ -323,61 +280,35 @@ size_t EraseViolationsTouching(std::vector<Violation>* violations,
 /// Merges sorted `fresh` into sorted `violations`, keeping the order
 /// invariant. The two lists must be disjoint (guaranteed when `violations`
 /// was filtered by EraseViolationsTouching and `fresh` comes from
-/// ValidateTouching over the same touched set).
+/// ValidateTouchingWithPlan over the same touched set).
 void MergeViolations(std::vector<Violation>* violations,
                      std::vector<Violation> fresh);
 
 /// Validates only the matches that bind at least one node of `touched`
-/// (sorted, duplicate-free): the report lists exactly the violations among
-/// those matches, sorted. Work is partitioned across options.num_threads by
-/// (bucket, pin variable, touched-candidate chunk), reusing the parallel
-/// scheme of Validate(). Patterns with no variables contribute nothing
-/// (their single empty match binds no node).
-ValidationReport ValidateTouching(const Graph& g, const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options = {});
-ValidationReport ValidateTouching(const OverlayView& g,
-                                  const std::vector<Ged>& sigma,
-                                  const std::vector<NodeId>& touched,
-                                  const ValidationOptions& options = {});
-
-/// ValidateTouching() against a pre-compiled plan of the same Σ.
-ValidationReport ValidateTouchingWithPlan(const Graph& g,
-                                          const RulesetPlan& plan,
-                                          const std::vector<NodeId>& touched,
-                                          const ValidationOptions& options = {});
+/// (sorted, duplicate-free) against a compiled plan of Σ: the report lists
+/// exactly the violations among those matches, sorted. Work is partitioned
+/// across options.num_threads by (bucket, pin variable, touched-candidate
+/// chunk), reusing the parallel scheme of Validate(). Patterns with no
+/// variables contribute nothing (their single empty match binds no node).
 ValidationReport ValidateTouchingWithPlan(const OverlayView& g,
                                           const RulesetPlan& plan,
                                           const std::vector<NodeId>& touched,
                                           const ValidationOptions& options = {});
 
-/// Violating matches that can map a pattern edge onto one of the `seeds`:
-/// for each (pattern, pattern edge (u,ι,v)), one batched run restricts h(u)
-/// to the compatible seed sources and h(v) to the compatible seed targets
-/// (ι ≼ seed label, endpoint labels ≼-compatible). This covers every match
-/// an edge insert between pre-existing nodes can create, slightly
-/// over-approximated: h(u)/h(v) may pair endpoints of different seeds via a
-/// pre-existing edge, and parallel edges are indistinguishable from the
-/// seed — so the result (sorted, duplicate-free) may re-find matches that
-/// already existed, and callers holding a maintained report reconcile by
-/// set-difference. `checked` is incremented per (match, rule) inspected
-/// (before deduplication). options.max_violations_per_ged is intentionally
-/// NOT honored here: truncating the seeded scan would break the
-/// set-difference reconciliation that keeps incremental maintenance exact.
-std::vector<Violation> FindViolationsSeededByEdges(
-    const Graph& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked);
-std::vector<Violation> FindViolationsSeededByEdges(
-    const OverlayView& g, const std::vector<Ged>& sigma,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked);
-
-/// FindViolationsSeededByEdges() against a pre-compiled plan of the same Σ.
-std::vector<Violation> FindViolationsSeededByEdgesWithPlan(
-    const Graph& g, const RulesetPlan& plan,
-    const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,
-    uint64_t* checked);
+/// Violating matches that can map a pattern edge onto one of the `seeds`,
+/// against a compiled plan of Σ: for each (bucket pattern, pattern edge
+/// (u,ι,v)), one batched run restricts h(u) to the compatible seed sources
+/// and h(v) to the compatible seed targets (ι ≼ seed label, endpoint labels
+/// ≼-compatible). This covers every match an edge insert between
+/// pre-existing nodes can create, slightly over-approximated: h(u)/h(v) may
+/// pair endpoints of different seeds via a pre-existing edge, and parallel
+/// edges are indistinguishable from the seed — so the result (sorted,
+/// duplicate-free) may re-find matches that already existed, and callers
+/// holding a maintained report reconcile by set-difference. `checked` is
+/// incremented per (match, rule) inspected (before deduplication).
+/// options.max_violations_per_ged is intentionally NOT honored here:
+/// truncating the seeded scan would break the set-difference reconciliation
+/// that keeps incremental maintenance exact.
 std::vector<Violation> FindViolationsSeededByEdgesWithPlan(
     const OverlayView& g, const RulesetPlan& plan,
     const std::vector<EdgeTriple>& seeds, const ValidationOptions& options,

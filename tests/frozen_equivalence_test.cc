@@ -1,10 +1,10 @@
 // Backend-equivalence harness: every search layer must produce identical
 // results against the mutable Graph and its FrozenGraph CSR snapshot —
 // match sets (matcher), violation reports and matches_checked (validation,
-// both the compiled shared-plan path and the legacy per-GED path), under
-// both homomorphism and isomorphism semantics, serial and parallel. The
-// paper's scenarios (knowledge base, social network, music base) and random
-// graph/Σ sweeps drive the comparison.
+// which must also equal the reference validator of tests/reference/),
+// under both homomorphism and isomorphism semantics, serial and parallel.
+// The paper's scenarios (knowledge base, social network, music base) and
+// random graph/Σ sweeps drive the comparison.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "match/matcher.h"
 #include "plan/plan.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -61,27 +62,28 @@ void ExpectSameMatches(const Pattern& q, const Graph& g,
   }
 }
 
-// Validation reports through all four (backend, evaluation-path) corners.
+// Validation reports on both backends, serial and parallel, each equal to
+// the reference validator's.
 void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
                        const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
   for (const SemanticsCase& sem : kSemantics) {
-    for (bool compiled : {true, false}) {
-      for (unsigned threads : {1u, 4u}) {
-        ValidationOptions opts;
-        opts.semantics = sem.semantics;
-        opts.policy.plan = compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
-        opts.num_threads = threads;
-        opts.policy.snapshot = SnapshotMode::kNever;  // mutable baseline
-        ValidationReport base = Validate(g, sigma, opts);
-        ValidationReport snap = Validate(f, sigma, opts);
-        std::string ctx = what + " [" + sem.name +
-                          (compiled ? ", compiled" : ", legacy") +
-                          ", threads=" + std::to_string(threads) + "]";
-        EXPECT_EQ(base.satisfied, snap.satisfied) << ctx;
-        EXPECT_EQ(base.violations, snap.violations) << ctx;
-        EXPECT_EQ(base.matches_checked, snap.matches_checked) << ctx;
-      }
+    reference::RefReport ref =
+        reference::Validate(g, sigma, Injective(sem.semantics));
+    for (unsigned threads : {1u, 4u}) {
+      ValidationOptions opts;
+      opts.semantics = sem.semantics;
+      opts.num_threads = threads;
+      opts.policy.snapshot = SnapshotMode::kNever;  // mutable baseline
+      ValidationReport base = Validate(g, sigma, opts);
+      ValidationReport snap = Validate(f, sigma, opts);
+      std::string ctx = what + " [" + sem.name +
+                        ", threads=" + std::to_string(threads) + "]";
+      EXPECT_EQ(base.satisfied, snap.satisfied) << ctx;
+      EXPECT_EQ(base.violations, snap.violations) << ctx;
+      EXPECT_EQ(base.matches_checked, snap.matches_checked) << ctx;
+      EXPECT_EQ(RefRows(snap.violations), ref.violations) << ctx;
+      EXPECT_EQ(snap.matches_checked, ref.matches_checked) << ctx;
     }
   }
 }

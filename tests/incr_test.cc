@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -333,14 +334,22 @@ void RunPropertyStream(unsigned num_threads, unsigned seed,
   opts.num_threads = num_threads;
   opts.semantics = semantics;
   IncrementalValidator v(RandomPropertyGraph(gp), RandomGeds(4, rp), opts);
-  ExpectReportsEqual(v.report(), v.RevalidateFull());
+  // The live report equals both the engine's from-scratch report and the
+  // reference validator's.
+  auto expect_live_report_exact = [&]() {
+    ExpectReportsEqual(v.report(), v.RevalidateFull());
+    EXPECT_EQ(RefRows(v.report().violations),
+              reference::Validate(v.graph(), v.sigma(), Injective(semantics))
+                  .violations);
+  };
+  expect_live_report_exact();
 
   std::mt19937 rng(seed + 2);
   for (int commit = 0; commit < 8; ++commit) {
     GraphDelta d = RandomDelta(v.graph(), &rng, 12, gp);
     auto applied = v.Commit(d);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    ExpectReportsEqual(v.report(), v.RevalidateFull());
+    expect_live_report_exact();
   }
 }
 
@@ -552,75 +561,57 @@ TEST(IncrementalValidator, AddedEqualsReportGrowthPlusRetracted) {
 // ----- the leapfrog join engages on the overlay (ablation) ------------------
 
 TEST(IncrementalValidator, IntersectionEngagesOnOverlayCommits) {
-  // Post-overlay, commit re-scans run on CSR spans, so the leapfrog kernel
-  // must actually fire on a dense commit: lf_rounds strictly grows. With
-  // commit_backend=mutable the graph has no sorted spans and the counter
-  // must stay flat (join=auto degrades; an explicit leapfrog requirement
-  // is rejected — see below).
+  // Commit re-scans run on the overlay's CSR spans, so the leapfrog kernel
+  // must actually fire on a dense commit: lf_rounds strictly grows.
   DenseParams dp;
   dp.num_members = 128;
   dp.community_size = 32;
   dp.follows_per_member = 12;
-  for (bool overlay : {true, false}) {
-    ObsSession session;
-    ValidationOptions opts;
-    opts.obs = session.Options();
-    opts.policy.commit_backend =
-        overlay ? CommitBackend::kOverlay : CommitBackend::kMutable;
-    opts.policy.snapshot = SnapshotMode::kNever;  // initial pass off the CSR
-    DenseInstance dense = GenDenseCommunity(dp);
-    IncrementalValidator v(dense.graph, DenseCliqueGeds(), opts);
-    uint64_t rounds_before =
-        session.Metrics()
-            .Snapshot()
-            .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
-            .value;
-    GraphDelta d = v.NewDelta();
-    std::mt19937 rng(5);
-    for (int i = 0; i < 24; ++i) {  // a dense intra-community burst
-      d.AddEdge(static_cast<NodeId>(rng() % 32), "follows",
-                static_cast<NodeId>(rng() % 32));
-    }
-    ASSERT_TRUE(v.Commit(d).ok());
-    uint64_t rounds_after =
-        session.Metrics()
-            .Snapshot()
-            .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
-            .value;
-    if (overlay) {
-      EXPECT_GT(rounds_after, rounds_before)
-          << "leapfrog never engaged on an overlay commit";
-    } else {
-      EXPECT_EQ(rounds_after, rounds_before)
-          << "mutable-graph commits cannot intersect";
-    }
-    ExpectReportsEqual(v.report(), v.RevalidateFull());
+  ObsSession session;
+  ValidationOptions opts;
+  opts.obs = session.Options();
+  opts.policy.snapshot = SnapshotMode::kNever;  // initial pass off the CSR
+  DenseInstance dense = GenDenseCommunity(dp);
+  IncrementalValidator v(dense.graph, DenseCliqueGeds(), opts);
+  auto lf_rounds = [&session]() {
+    return session.Metrics()
+        .Snapshot()
+        .metrics[static_cast<size_t>(EngineMetric::kMatchLfRounds)]
+        .value;
+  };
+  uint64_t rounds_before = lf_rounds();
+  GraphDelta d = v.NewDelta();
+  std::mt19937 rng(5);
+  for (int i = 0; i < 24; ++i) {  // a dense intra-community burst
+    d.AddEdge(static_cast<NodeId>(rng() % 32), "follows",
+              static_cast<NodeId>(rng() % 32));
   }
+  ASSERT_TRUE(v.Commit(d).ok());
+  EXPECT_GT(lf_rounds(), rounds_before)
+      << "leapfrog never engaged on an overlay commit";
+  ExpectReportsEqual(v.report(), v.RevalidateFull());
 }
 
 TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
-  // join=leapfrog with commit_backend=mutable cannot engage: commit
-  // re-scans read the mutable graph, which has no sorted neighbor spans.
-  // What used to be a runtime "intersection_inert" warning is now a hard
-  // options-validation error, raised by Create() before any work starts.
+  // A forced kernel backend under join=pick_smallest can never run: the
+  // pick-smallest generator never dispatches an intersection kernel.
+  // Create() rejects the inert combination before any work starts.
   KbInstance kb = GenKnowledgeBase(KbParams{});
   ValidationOptions opts;
-  opts.policy.join = JoinStrategy::kLeapfrog;
-  opts.policy.commit_backend = CommitBackend::kMutable;
+  opts.policy.join = JoinStrategy::kPickSmallest;
+  opts.policy.kernel = KernelBackend::kScalar;
   auto rejected = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("commit_backend=mutable"),
+  EXPECT_NE(rejected.status().message().find("join=pick_smallest"),
             std::string::npos)
       << rejected.status().message();
 
-  // join=auto on the same backend means "the engine decides": accepted
-  // silently, degrading to the legacy generator where spans are missing.
+  // The same kernel under join=auto is honored as stated.
   opts.policy.join = JoinStrategy::kAuto;
   auto accepted = IncrementalValidator::Create(kb.graph, Example1Geds(), opts);
   ASSERT_TRUE(accepted.ok());
-  EXPECT_EQ(accepted.value()->policy().commit_backend,
-            CommitBackend::kMutable);
+  EXPECT_EQ(accepted.value()->policy().kernel, KernelBackend::kScalar);
   EXPECT_EQ(accepted.value()->policy().join, JoinStrategy::kAuto);
 
   // The plain constructor cannot report failure, so it degrades the
@@ -633,9 +624,10 @@ TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
   lopts.sink = [&lines](const std::string& line) { lines.push_back(line); };
   session.Log().Configure(std::move(lopts));
   opts.obs = session.Options();
-  opts.policy.join = JoinStrategy::kLeapfrog;
+  opts.policy.join = JoinStrategy::kPickSmallest;
   IncrementalValidator degraded(kb.graph, Example1Geds(), opts);
   EXPECT_EQ(degraded.policy().join, JoinStrategy::kAuto);
+  EXPECT_EQ(degraded.policy().kernel, KernelBackend::kAuto);
   bool logged = false;
   for (const std::string& line : lines) {
     if (line.find("invalid_execution_policy") != std::string::npos) {
@@ -643,6 +635,7 @@ TEST(IncrementalValidator, InertLeapfrogPolicyIsRejected) {
     }
   }
   EXPECT_TRUE(logged);
+  ExpectReportsEqual(degraded.report(), degraded.RevalidateFull());
 }
 
 TEST(IncrementalValidator, DestructorJoinsInFlightRefreeze) {

@@ -1,9 +1,9 @@
 // Differential harness for the worst-case-optimal candidate generator:
-// k-way leapfrog intersection (MatchOptions::use_intersection, the default
-// on CSR snapshots) must be *observationally identical* to the legacy
+// k-way leapfrog intersection (MatchOptions::join, leapfrog by default on
+// CSR snapshots) must be *observationally identical* to the legacy
 // pick-smallest-list path — same match sets, same violation reports, same
-// matches_checked — across both read backends, both semantics, compiled and
-// legacy plans, serial and parallel. Plus unit tests pinning the
+// matches_checked — across both read backends, both semantics, serial and
+// parallel. Plus unit tests pinning the
 // gallop/leapfrog kernel itself on adversarial inputs: empty ranges,
 // disjoint ranges, duplicates across labels, self-loops.
 
@@ -121,7 +121,8 @@ const SemanticsCase kSemantics[] = {
 
 std::vector<Match> SortedMatches(const Pattern& q, const FrozenGraph& f,
                                  MatchOptions opts, bool intersection) {
-  opts.use_intersection = intersection;
+  opts.join =
+      intersection ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
   std::vector<Match> ms = AllMatches(q, f, opts);
   std::sort(ms.begin(), ms.end());
   return ms;
@@ -264,7 +265,8 @@ TEST(IntersectionEquivalence, TouchingEnumerationAgrees) {
     for (bool intersection : {true, false}) {
       MatchOptions opts;
       opts.semantics = sem.semantics;
-      opts.use_intersection = intersection;
+      opts.join =
+          intersection ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
       auto& out = intersection ? with : without;
       EnumerateMatchesTouching(q, f, touched, opts, [&](const Match& h) {
         out.push_back(h);
@@ -279,34 +281,28 @@ TEST(IntersectionEquivalence, TouchingEnumerationAgrees) {
 // ----- validation differential: full pipeline -------------------------------
 
 // Violation reports and matches_checked through every (backend,
-// evaluation-path, thread-count) corner must not depend on the candidate
-// generator.
+// thread-count) corner must not depend on the candidate generator.
 void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
                        const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
   for (const SemanticsCase& sem : kSemantics) {
-    for (bool compiled : {true, false}) {
-      for (unsigned threads : {1u, 4u}) {
-        ValidationOptions opts;
-        opts.semantics = sem.semantics;
-        opts.policy.plan = compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
-        opts.num_threads = threads;
-        opts.policy.snapshot = SnapshotMode::kNever;
-        opts.policy.join = JoinStrategy::kAuto;
-        ValidationReport with = Validate(f, sigma, opts);
-        opts.policy.join = JoinStrategy::kPickSmallest;
-        ValidationReport without = Validate(f, sigma, opts);
-        ValidationReport mutable_report = Validate(g, sigma, opts);
-        std::string ctx = what + " [" + sem.name +
-                          (compiled ? ", compiled" : ", legacy") +
-                          ", threads=" + std::to_string(threads) + "]";
-        EXPECT_EQ(with.satisfied, without.satisfied) << ctx;
-        EXPECT_EQ(with.violations, without.violations) << ctx;
-        EXPECT_EQ(with.matches_checked, without.matches_checked) << ctx;
-        EXPECT_EQ(with.violations, mutable_report.violations) << ctx;
-        EXPECT_EQ(with.matches_checked, mutable_report.matches_checked)
-            << ctx;
-      }
+    for (unsigned threads : {1u, 4u}) {
+      ValidationOptions opts;
+      opts.semantics = sem.semantics;
+      opts.num_threads = threads;
+      opts.policy.snapshot = SnapshotMode::kNever;
+      opts.policy.join = JoinStrategy::kAuto;
+      ValidationReport with = Validate(f, sigma, opts);
+      opts.policy.join = JoinStrategy::kPickSmallest;
+      ValidationReport without = Validate(f, sigma, opts);
+      ValidationReport mutable_report = Validate(g, sigma, opts);
+      std::string ctx = what + " [" + sem.name +
+                        ", threads=" + std::to_string(threads) + "]";
+      EXPECT_EQ(with.satisfied, without.satisfied) << ctx;
+      EXPECT_EQ(with.violations, without.violations) << ctx;
+      EXPECT_EQ(with.matches_checked, without.matches_checked) << ctx;
+      EXPECT_EQ(with.violations, mutable_report.violations) << ctx;
+      EXPECT_EQ(with.matches_checked, mutable_report.matches_checked) << ctx;
     }
   }
 }

@@ -149,38 +149,34 @@ TEST(Tracer, NullTracerSpansAreNoOps) {
 
 void ExpectObsDoesNotChangeReports(const Graph& g,
                                    const std::vector<Ged>& sigma) {
-  for (bool compiled : {true, false}) {
-    for (unsigned threads : {1u, 4u}) {
-      ValidationOptions plain;
-      plain.policy.plan = compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
-      plain.num_threads = threads;
-      ValidationReport baseline = Validate(g, sigma, plain);
+  for (unsigned threads : {1u, 4u}) {
+    ValidationOptions plain;
+    plain.num_threads = threads;
+    ValidationReport baseline = Validate(g, sigma, plain);
 
-      ObsSession session;
-      ValidationOptions instrumented = plain;
-      instrumented.obs = session.Options();
-      ValidationReport observed = Validate(g, sigma, instrumented);
+    ObsSession session;
+    ValidationOptions instrumented = plain;
+    instrumented.obs = session.Options();
+    ValidationReport observed = Validate(g, sigma, instrumented);
 
-      EXPECT_EQ(observed.satisfied, baseline.satisfied)
-          << "compiled=" << compiled << " threads=" << threads;
-      EXPECT_EQ(observed.violations, baseline.violations)
-          << "compiled=" << compiled << " threads=" << threads;
-      EXPECT_EQ(observed.matches_checked, baseline.matches_checked)
-          << "compiled=" << compiled << " threads=" << threads;
-      EXPECT_EQ(observed.aborted_geds, baseline.aborted_geds)
-          << "compiled=" << compiled << " threads=" << threads;
+    EXPECT_EQ(observed.satisfied, baseline.satisfied) << "threads=" << threads;
+    EXPECT_EQ(observed.violations, baseline.violations)
+        << "threads=" << threads;
+    EXPECT_EQ(observed.matches_checked, baseline.matches_checked)
+        << "threads=" << threads;
+    EXPECT_EQ(observed.aborted_geds, baseline.aborted_geds)
+        << "threads=" << threads;
 
-      // The instrumented run actually recorded something.
-      MetricsSnapshot snap = session.Metrics().Snapshot();
-      EXPECT_EQ(snap.metrics[static_cast<size_t>(EngineMetric::kValidateRuns)]
-                    .value,
-                1u);
-      EXPECT_EQ(snap.metrics[static_cast<size_t>(
-                                 EngineMetric::kValidateMatchesChecked)]
-                    .value,
-                baseline.matches_checked);
-      EXPECT_FALSE(session.Trace().Merged().empty());
-    }
+    // The instrumented run actually recorded something.
+    MetricsSnapshot snap = session.Metrics().Snapshot();
+    EXPECT_EQ(
+        snap.metrics[static_cast<size_t>(EngineMetric::kValidateRuns)].value,
+        1u);
+    EXPECT_EQ(snap.metrics[static_cast<size_t>(
+                               EngineMetric::kValidateMatchesChecked)]
+                  .value,
+              baseline.matches_checked);
+    EXPECT_FALSE(session.Trace().Merged().empty());
   }
 }
 
@@ -253,43 +249,40 @@ TEST(AbortPropagation, StepBudgetSurfacesAbortedGeds) {
   KbInstance kb = GenKnowledgeBase(KbParams{});
   std::vector<Ged> sigma = Example1Geds();
 
-  for (bool compiled : {true, false}) {
-    ValidationOptions opts;
-    opts.policy.plan = compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
+  ValidationOptions opts;
 
-    // Unbudgeted (the default 0): nothing aborts.
-    ValidationReport full = Validate(kb.graph, sigma, opts);
-    EXPECT_TRUE(full.aborted_geds.empty()) << "compiled=" << compiled;
+  // Unbudgeted (the default 0): nothing aborts.
+  ValidationReport full = Validate(kb.graph, sigma, opts);
+  EXPECT_TRUE(full.aborted_geds.empty());
 
-    // A generous budget no scan reaches: identical report, still no aborts.
-    opts.max_steps_per_scan = 1000000000;
-    ValidationReport generous = Validate(kb.graph, sigma, opts);
-    EXPECT_TRUE(generous.aborted_geds.empty()) << "compiled=" << compiled;
-    EXPECT_EQ(generous.violations, full.violations) << "compiled=" << compiled;
+  // A generous budget no scan reaches: identical report, still no aborts.
+  opts.max_steps_per_scan = 1000000000;
+  ValidationReport generous = Validate(kb.graph, sigma, opts);
+  EXPECT_TRUE(generous.aborted_geds.empty());
+  EXPECT_EQ(generous.violations, full.violations);
 
-    // A one-step budget truncates every non-trivial scan; the truncated
-    // GEDs must be reported sorted and duplicate-free.
-    opts.max_steps_per_scan = 1;
-    ObsSession session;
-    opts.obs = session.Options();
-    ValidationReport truncated = Validate(kb.graph, sigma, opts);
-    ASSERT_FALSE(truncated.aborted_geds.empty()) << "compiled=" << compiled;
-    EXPECT_TRUE(std::is_sorted(truncated.aborted_geds.begin(),
-                               truncated.aborted_geds.end()));
-    EXPECT_EQ(std::adjacent_find(truncated.aborted_geds.begin(),
-                                 truncated.aborted_geds.end()),
-              truncated.aborted_geds.end());
-    for (size_t ged : truncated.aborted_geds) EXPECT_LT(ged, sigma.size());
+  // A one-step budget truncates every non-trivial scan; the truncated
+  // GEDs must be reported sorted and duplicate-free.
+  opts.max_steps_per_scan = 1;
+  ObsSession session;
+  opts.obs = session.Options();
+  ValidationReport truncated = Validate(kb.graph, sigma, opts);
+  ASSERT_FALSE(truncated.aborted_geds.empty());
+  EXPECT_TRUE(std::is_sorted(truncated.aborted_geds.begin(),
+                             truncated.aborted_geds.end()));
+  EXPECT_EQ(std::adjacent_find(truncated.aborted_geds.begin(),
+                               truncated.aborted_geds.end()),
+            truncated.aborted_geds.end());
+  for (size_t ged : truncated.aborted_geds) EXPECT_LT(ged, sigma.size());
 
-    // The profiler flags exactly the same rules as aborted.
-    ProfileReport profile = session.Profiler().Finish(0);
-    std::vector<size_t> flagged;
-    for (const ProfileReport::Rule& r : profile.rules) {
-      if (r.aborted) flagged.push_back(r.ged_index);
-    }
-    EXPECT_EQ(flagged, truncated.aborted_geds) << "compiled=" << compiled;
-    EXPECT_EQ(profile.aborted_geds, truncated.aborted_geds.size());
+  // The profiler flags exactly the same rules as aborted.
+  ProfileReport profile = session.Profiler().Finish(0);
+  std::vector<size_t> flagged;
+  for (const ProfileReport::Rule& r : profile.rules) {
+    if (r.aborted) flagged.push_back(r.ged_index);
   }
+  EXPECT_EQ(flagged, truncated.aborted_geds);
+  EXPECT_EQ(profile.aborted_geds, truncated.aborted_geds.size());
 }
 
 TEST(AbortPropagation, ParallelRunsAgreeWithSerial) {

@@ -1,9 +1,10 @@
 // OverlayView backend-equivalence suite: the delta overlay must be
 // indistinguishable from the mutable Graph it mirrors and from a freshly
 // frozen CSR snapshot — match sets, violation reports and matches_checked,
-// bit-identical — across homomorphism/isomorphism, compiled/legacy plans,
-// serial/parallel fan-out and the intersection toggle, and across the
-// background re-freeze epoch swap of IncrementalValidator.
+// bit-identical, and equal to the reference validator of tests/reference/ —
+// across homomorphism/isomorphism, serial/parallel fan-out and the
+// intersection toggle, and across the background re-freeze epoch swap of
+// IncrementalValidator.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "incr/incremental.h"
 #include "match/matcher.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -186,39 +188,37 @@ TEST(OverlayView, DuplicateEdgeAndNoOpAttrAreRejectedLikeGraph) {
 
 // ----- validation equivalence matrix ----------------------------------------
 
-// overlay ≡ mutable ≡ freshly-frozen, bit-identical reports, across every
-// (semantics, plan, threads, intersection) corner.
+// overlay ≡ mutable ≡ freshly-frozen ≡ reference, bit-identical reports,
+// across every (semantics, threads, intersection) corner.
 void ExpectBackendsAgree(const Graph& g, const OverlayView& o,
                          const std::vector<Ged>& sigma,
                          const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
   for (MatchSemantics sem :
        {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
-    for (bool compiled : {true, false}) {
-      for (unsigned threads : {1u, 4u}) {
-        for (bool intersect : {true, false}) {
-          ValidationOptions opts;
-          opts.semantics = sem;
-          opts.policy.plan =
-              compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
-          opts.num_threads = threads;
-          opts.policy.join =
-              intersect ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
-          opts.policy.snapshot = SnapshotMode::kNever;
-          std::string ctx =
-              what + (sem == MatchSemantics::kHomomorphism ? " [hom" : " [iso") +
-              (compiled ? ", compiled" : ", legacy") +
-              ", threads=" + std::to_string(threads) +
-              (intersect ? ", lf]" : ", no-lf]");
-          ValidationReport mut = Validate(g, sigma, opts);
-          ValidationReport ovl = Validate(o, sigma, opts);
-          ValidationReport frz = Validate(f, sigma, opts);
-          EXPECT_EQ(mut.satisfied, ovl.satisfied) << ctx;
-          EXPECT_EQ(mut.violations, ovl.violations) << ctx;
-          EXPECT_EQ(mut.matches_checked, ovl.matches_checked) << ctx;
-          EXPECT_EQ(frz.violations, ovl.violations) << ctx;
-          EXPECT_EQ(frz.matches_checked, ovl.matches_checked) << ctx;
-        }
+    reference::RefReport ref = reference::Validate(g, sigma, Injective(sem));
+    for (unsigned threads : {1u, 4u}) {
+      for (bool intersect : {true, false}) {
+        ValidationOptions opts;
+        opts.semantics = sem;
+        opts.num_threads = threads;
+        opts.policy.join =
+            intersect ? JoinStrategy::kAuto : JoinStrategy::kPickSmallest;
+        opts.policy.snapshot = SnapshotMode::kNever;
+        std::string ctx =
+            what + (sem == MatchSemantics::kHomomorphism ? " [hom" : " [iso") +
+            ", threads=" + std::to_string(threads) +
+            (intersect ? ", lf]" : ", no-lf]");
+        ValidationReport mut = Validate(g, sigma, opts);
+        ValidationReport ovl = Validate(o, sigma, opts);
+        ValidationReport frz = Validate(f, sigma, opts);
+        EXPECT_EQ(mut.satisfied, ovl.satisfied) << ctx;
+        EXPECT_EQ(mut.violations, ovl.violations) << ctx;
+        EXPECT_EQ(mut.matches_checked, ovl.matches_checked) << ctx;
+        EXPECT_EQ(frz.violations, ovl.violations) << ctx;
+        EXPECT_EQ(frz.matches_checked, ovl.matches_checked) << ctx;
+        EXPECT_EQ(RefRows(ovl.violations), ref.violations) << ctx;
+        EXPECT_EQ(ovl.matches_checked, ref.matches_checked) << ctx;
       }
     }
   }

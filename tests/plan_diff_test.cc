@@ -1,22 +1,30 @@
-// Differential harness for the shared-plan ruleset compiler (src/plan/):
-// the compiled path and the legacy per-GED path must emit bit-identical
-// sorted violation reports — same violations, same matches_checked — on
-// every generator scenario, random GED set, delta stream and semantics.
-// Plus unit coverage for pattern canonicalization and bucketing.
+// Differential harness for the validation engine: every report the engine
+// builds through its compiled ruleset plan (src/plan/) must equal the naive
+// reference validator's (tests/reference/) — same sorted violations, same
+// matches_checked — on every generator scenario, random GED set, capped
+// report, touching set, spilled-row case and delta stream, at 1 and 4
+// threads, under both semantics, on the mutable Graph and on its frozen and
+// overlay snapshots. The reference shares no matcher, plan or literal code
+// with the engine, so the two cannot be wrong the same way. Plus unit
+// coverage for pattern canonicalization and bucketing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 
 #include "ged/canonical.h"
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
 #include "graph/frozen.h"
+#include "graph/overlay.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "plan/plan.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -140,47 +148,65 @@ TEST(RulesetPlan, EmptySigmaAndEmptyPattern) {
   EXPECT_TRUE(forbidden.violations[0].match.empty());
 }
 
-// ----- differential: compiled vs legacy -------------------------------------
+// ----- differential: engine vs reference ------------------------------------
 
+// The engine's report on `g` (a mutable graph or a snapshot of it) against
+// the reference's report `ref` on the same graph.
 template <typename GView>
-void ExpectPathsAgree(const GView& g, const std::vector<Ged>& sigma,
-                      ValidationOptions opts) {
-  opts.policy.plan = PlanMode::kPerRule;
-  ValidationReport legacy = Validate(g, sigma, opts);
-  opts.policy.plan = PlanMode::kCompiled;
-  ValidationReport compiled = Validate(g, sigma, opts);
-  EXPECT_EQ(compiled.satisfied, legacy.satisfied);
-  EXPECT_EQ(compiled.violations, legacy.violations);
-  EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
+void ExpectMatchesReference(const GView& g, const std::vector<Ged>& sigma,
+                            const ValidationOptions& opts,
+                            const reference::RefReport& ref) {
+  ValidationReport report = Validate(g, sigma, opts);
+  std::vector<reference::RefViolation> want =
+      reference::CapPerGed(ref.violations, opts.max_violations_per_ged);
+  EXPECT_EQ(report.satisfied, want.empty());
+  EXPECT_EQ(RefRows(report.violations), want);
+  EXPECT_EQ(report.matches_checked, ref.matches_checked);
 }
 
-void ExpectPathsAgreeAllModes(const Graph& g, const std::vector<Ged>& sigma) {
+// Mutable graph and frozen snapshot, at 1 and 4 threads, capped or not.
+void ExpectEngineMatchesReference(const Graph& g,
+                                  const std::vector<Ged>& sigma,
+                                  MatchSemantics sem, uint64_t cap = 0) {
+  reference::RefReport ref =
+      reference::Validate(g, sigma, Injective(sem));
+  const FrozenGraph frozen = FrozenGraph::Freeze(g);
+  for (unsigned threads : {1u, 4u}) {
+    ValidationOptions opts;
+    opts.semantics = sem;
+    opts.num_threads = threads;
+    opts.max_violations_per_ged = cap;
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " cap=" + std::to_string(cap));
+    ExpectMatchesReference(g, sigma, opts, ref);
+    ExpectMatchesReference(frozen, sigma, opts, ref);
+  }
+}
+
+void ExpectEngineMatchesReferenceAllModes(const Graph& g,
+                                          const std::vector<Ged>& sigma) {
   for (MatchSemantics sem :
        {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
-    for (unsigned threads : {1u, 4u}) {
-      ValidationOptions opts;
-      opts.semantics = sem;
-      opts.num_threads = threads;
-      ExpectPathsAgree(g, sigma, opts);
-    }
+    SCOPED_TRACE(sem == MatchSemantics::kHomomorphism ? "hom" : "iso");
+    ExpectEngineMatchesReference(g, sigma, sem);
   }
 }
 
 TEST(PlanDifferential, KnowledgeBaseScenario) {
   KbInstance kb = GenKnowledgeBase(KbParams{});
-  ExpectPathsAgreeAllModes(kb.graph, Example1Geds());
+  ExpectEngineMatchesReferenceAllModes(kb.graph, Example1Geds());
 }
 
 TEST(PlanDifferential, SocialNetworkScenario) {
   SocialParams sp;
   SocialInstance social = GenSocialNetwork(sp);
-  ExpectPathsAgreeAllModes(social.graph,
-                           {SpamGed(sp.k, Value("free money"))});
+  ExpectEngineMatchesReferenceAllModes(social.graph,
+                                       {SpamGed(sp.k, Value("free money"))});
 }
 
 TEST(PlanDifferential, MusicBaseScenario) {
   MusicInstance music = GenMusicBase(MusicParams{});
-  ExpectPathsAgreeAllModes(music.graph, MusicKeys());
+  ExpectEngineMatchesReferenceAllModes(music.graph, MusicKeys());
 }
 
 TEST(PlanDifferential, RandomGedSetsAcrossClasses) {
@@ -206,7 +232,7 @@ TEST(PlanDifferential, RandomGedSetsAcrossClasses) {
       sigma.push_back(PermuteGed(sigma[i], perm));
     }
     EXPECT_GT(RulesetPlan::Compile(sigma).NumSharedRules(), 0u);
-    ExpectPathsAgreeAllModes(g, sigma);
+    ExpectEngineMatchesReferenceAllModes(g, sigma);
   }
 }
 
@@ -215,12 +241,8 @@ TEST(PlanDifferential, CappedReportsAgree) {
   params.wrong_creator = 6;
   params.double_capital = 3;
   KbInstance kb = GenKnowledgeBase(params);
-  for (unsigned threads : {1u, 4u}) {
-    ValidationOptions opts;
-    opts.max_violations_per_ged = 2;
-    opts.num_threads = threads;
-    ExpectPathsAgree(kb.graph, Example1Geds(), opts);
-  }
+  ExpectEngineMatchesReference(kb.graph, Example1Geds(),
+                               MatchSemantics::kHomomorphism, /*cap=*/2);
 }
 
 TEST(PlanDifferential, ValidateTouchingAgrees) {
@@ -228,41 +250,49 @@ TEST(PlanDifferential, ValidateTouchingAgrees) {
   gp.num_nodes = 70;
   gp.seed = 41;
   Graph g = RandomPropertyGraph(gp);
+  const OverlayView overlay(
+      std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g)));
   RandomGedParams rp;
   rp.pattern_vars = 3;
   rp.pattern_edges = 2;
   rp.seed = 42;
   std::vector<Ged> sigma = RandomGeds(6, rp);
+  const RulesetPlan plan = RulesetPlan::Compile(sigma);
   std::mt19937 rng(43);
   for (int round = 0; round < 6; ++round) {
     std::vector<NodeId> touched;
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       if (rng() % 4 == 0) touched.push_back(v);
     }
-    for (unsigned threads : {1u, 4u}) {
-      ValidationOptions opts;
-      opts.num_threads = threads;
-      opts.policy.plan = PlanMode::kPerRule;
-      ValidationReport legacy = ValidateTouching(g, sigma, touched, opts);
-      opts.policy.plan = PlanMode::kCompiled;
-      ValidationReport compiled = ValidateTouching(g, sigma, touched, opts);
-      EXPECT_EQ(compiled.violations, legacy.violations);
-      EXPECT_EQ(compiled.matches_checked, legacy.matches_checked);
+    for (MatchSemantics sem :
+         {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
+      reference::RefReport ref =
+          reference::ValidateTouching(g, sigma, touched, Injective(sem));
+      for (unsigned threads : {1u, 4u}) {
+        ValidationOptions opts;
+        opts.semantics = sem;
+        opts.num_threads = threads;
+        ValidationReport report =
+            ValidateTouchingWithPlan(overlay, plan, touched, opts);
+        EXPECT_EQ(RefRows(report.violations), ref.violations);
+        EXPECT_EQ(report.matches_checked, ref.matches_checked);
+      }
     }
   }
 }
 
-TEST(PlanDifferential, SeededByEdgesAgrees) {
-  RandomGraphParams gp;
-  gp.num_nodes = 50;
-  gp.seed = 51;
+// The seeded scan may over-approximate (see validation.h), so it is pinned
+// between two reference sets: it must find every violation among the
+// matches that map a pattern edge onto a seed, and nothing that is not a
+// violation at all. Seeds are a sample of existing edges (what a
+// cross-edge delta reports). Returns the size of the lower bound.
+size_t ExpectSeededScanBracketed(const RandomGraphParams& gp,
+                                 const RandomGedParams& rp) {
   Graph g = RandomPropertyGraph(gp);
-  RandomGedParams rp;
-  rp.pattern_vars = 3;
-  rp.pattern_edges = 3;
-  rp.seed = 52;
+  const OverlayView overlay(
+      std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g)));
   std::vector<Ged> sigma = RandomGeds(6, rp);
-  // Seeds: a sample of existing edges (what a cross-edge delta reports).
+  const RulesetPlan plan = RulesetPlan::Compile(sigma);
   std::vector<EdgeTriple> seeds;
   for (NodeId v = 0; v < g.NumNodes(); v += 5) {
     for (const Edge& e : g.out(v)) {
@@ -270,25 +300,58 @@ TEST(PlanDifferential, SeededByEdgesAgrees) {
       break;
     }
   }
-  ASSERT_FALSE(seeds.empty());
-  ValidationOptions opts;
-  uint64_t checked_legacy = 0, checked_compiled = 0;
-  opts.policy.plan = PlanMode::kPerRule;
-  std::vector<Violation> legacy =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_legacy);
-  opts.policy.plan = PlanMode::kCompiled;
-  std::vector<Violation> compiled =
-      FindViolationsSeededByEdges(g, sigma, seeds, opts, &checked_compiled);
-  EXPECT_EQ(compiled, legacy);
-  EXPECT_EQ(checked_compiled, checked_legacy);
+  EXPECT_FALSE(seeds.empty());
+  size_t lower_bound = 0;
+  for (MatchSemantics sem :
+       {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
+    ValidationOptions opts;
+    opts.semantics = sem;
+    uint64_t checked = 0;
+    std::vector<reference::RefViolation> found = RefRows(
+        FindViolationsSeededByEdgesWithPlan(overlay, plan, seeds, opts,
+                                            &checked));
+    reference::RefReport seeded =
+        reference::ValidateSeededByEdges(g, sigma, seeds, Injective(sem));
+    reference::RefReport all = reference::Validate(g, sigma, Injective(sem));
+    EXPECT_TRUE(std::is_sorted(found.begin(), found.end()));
+    EXPECT_EQ(std::adjacent_find(found.begin(), found.end()), found.end());
+    EXPECT_TRUE(std::includes(found.begin(), found.end(),
+                              seeded.violations.begin(),
+                              seeded.violations.end()));
+    EXPECT_TRUE(std::includes(all.violations.begin(), all.violations.end(),
+                              found.begin(), found.end()));
+    EXPECT_GE(checked, seeded.matches_checked);
+    lower_bound += seeded.violations.size();
+  }
+  return lower_bound;
+}
+
+TEST(PlanDifferential, SeededByEdgesAgrees) {
+  RandomGraphParams gp;
+  gp.num_nodes = 50;
+  gp.seed = 51;
+  RandomGedParams rp;
+  rp.pattern_vars = 3;
+  rp.pattern_edges = 3;
+  rp.seed = 52;
+  ExpectSeededScanBracketed(gp, rp);
+
+  // Few labels and values: seeds complete many matches, some violating.
+  gp.seed = 53;
+  gp.avg_out_degree = 4.0;
+  gp.num_node_labels = rp.num_node_labels = 2;
+  gp.num_edge_labels = rp.num_edge_labels = 1;
+  gp.num_values = rp.num_values = 3;
+  rp.seed = 54;
+  EXPECT_GT(ExpectSeededScanBracketed(gp, rp), 0u);
 }
 
 // Report rows wider than MatchRow::kInlineCapacity spill to the heap. A 7-
 // and an 8-variable rule (plus a variable-reversed copy of the 8-variable
 // one, so a bucket permutes spilled rows back into rule order) next to a
-// 3-variable rule: the reports mix inline and spilled rows, and must agree
-// between the compiled and per-rule paths, between the mutable Graph and
-// its FrozenGraph snapshot, at 1 and 4 threads, capped or not.
+// 3-variable rule: the reports mix inline and spilled rows, and must equal
+// the reference on the mutable Graph and its FrozenGraph snapshot, at 1
+// and 4 threads, capped or not.
 TEST(PlanDifferential, SpilledRowsAgree) {
   Graph g;
   const size_t n = 36;
@@ -319,26 +382,17 @@ TEST(PlanDifferential, SpilledRowsAgree) {
   sigma.push_back(PermuteGed(sigma[2], reverse));
   ASSERT_GT(sigma[0].pattern().NumVars(), MatchRow::kInlineCapacity);
 
-  const FrozenGraph frozen = FrozenGraph::Freeze(g);
   for (uint64_t cap : {uint64_t{0}, uint64_t{5}}) {
-    for (unsigned threads : {1u, 4u}) {
-      ValidationOptions opts;
-      opts.num_threads = threads;
-      opts.max_violations_per_ged = cap;
-      ExpectPathsAgree(g, sigma, opts);
-      ExpectPathsAgree(frozen, sigma, opts);
-      ValidationReport report = Validate(g, sigma, opts);
-      EXPECT_EQ(Validate(frozen, sigma, opts).violations, report.violations);
-      size_t spilled = 0;
-      for (const Violation& v : report.violations) {
-        const Pattern& q = sigma[v.ged_index].pattern();
-        ASSERT_EQ(v.match.size(), q.NumVars());
-        EXPECT_TRUE(IsValidMatch(q, g, v.match));
-        if (v.match.size() > MatchRow::kInlineCapacity) ++spilled;
-      }
-      EXPECT_GT(spilled, 0u);
-      EXPECT_LT(spilled, report.violations.size());
+    ExpectEngineMatchesReference(g, sigma, MatchSemantics::kHomomorphism, cap);
+    ValidationOptions opts;
+    opts.max_violations_per_ged = cap;
+    ValidationReport report = Validate(g, sigma, opts);
+    size_t spilled = 0;
+    for (const Violation& v : report.violations) {
+      if (v.match.size() > MatchRow::kInlineCapacity) ++spilled;
     }
+    EXPECT_GT(spilled, 0u);
+    EXPECT_LT(spilled, report.violations.size());
   }
 }
 
@@ -384,10 +438,9 @@ GraphDelta RandomDelta(const Graph& g, std::mt19937* rng, size_t num_ops,
   return d;
 }
 
-// The compiled incremental validator must track the *legacy* from-scratch
-// oracle across a random delta stream — the end-to-end differential: every
-// layer (full validate, touching re-scan, edge-seeded re-scan) crosses the
-// compiled/legacy boundary here.
+// The incremental validator must track the reference across a random
+// delta stream — the end-to-end differential: full validation, the
+// touching re-scan and the edge-seeded re-scan all feed the live report.
 void RunDifferentialStream(MatchSemantics sem, unsigned threads,
                            unsigned seed) {
   RandomGraphParams gp;
@@ -403,24 +456,23 @@ void RunDifferentialStream(MatchSemantics sem, unsigned threads,
   ValidationOptions opts;
   opts.semantics = sem;
   opts.num_threads = threads;
-  opts.policy.plan = PlanMode::kCompiled;
   IncrementalValidator v(RandomPropertyGraph(gp), sigma, opts);
 
-  ValidationOptions legacy_opts = opts;
-  legacy_opts.policy.plan = PlanMode::kPerRule;
-  auto expect_matches_legacy = [&]() {
-    ValidationReport oracle = Validate(v.graph(), v.sigma(), legacy_opts);
-    EXPECT_EQ(v.report().satisfied, oracle.satisfied);
-    EXPECT_EQ(v.report().violations, oracle.violations);
+  auto expect_matches_reference = [&]() {
+    reference::RefReport ref =
+        reference::Validate(v.graph(), v.sigma(), Injective(sem));
+    EXPECT_EQ(v.report().satisfied, ref.violations.empty());
+    EXPECT_EQ(RefRows(v.report().violations), ref.violations);
+    EXPECT_EQ(v.RevalidateFull().matches_checked, ref.matches_checked);
   };
-  expect_matches_legacy();
+  expect_matches_reference();
 
   std::mt19937 rng(seed + 2);
   for (int commit = 0; commit < 8; ++commit) {
     GraphDelta d = RandomDelta(v.graph(), &rng, 12, gp);
     auto applied = v.Commit(d);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    expect_matches_legacy();
+    expect_matches_reference();
   }
 }
 

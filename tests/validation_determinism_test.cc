@@ -1,11 +1,17 @@
 // Parallel-validation determinism: Validate() must produce the identical
 // sorted report for any thread count, on all three generator scenarios and
-// on random graph/rule workloads; ValidateTouching inherits the guarantee.
+// on random graph/rule workloads; ValidateTouchingWithPlan inherits the
+// guarantee.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "gen/random_gen.h"
 #include "gen/scenarios.h"
+#include "graph/frozen.h"
+#include "graph/overlay.h"
+#include "plan/plan.h"
 #include "reason/validation.h"
 
 namespace ged {
@@ -56,7 +62,7 @@ TEST(ValidationDeterminism, RandomWorkload) {
 
 TEST(ValidationDeterminism, CapKeepsTheSmallestViolationsDeterministically) {
   // max_violations_per_ged keeps the ViolationLess-smallest violations per
-  // GED — the same report for any thread count and either evaluation path.
+  // GED — the same report for any thread count.
   KbParams params;
   params.wrong_creator = 6;
   params.double_capital = 3;
@@ -81,17 +87,13 @@ TEST(ValidationDeterminism, CapKeepsTheSmallestViolationsDeterministically) {
   }
   ASSERT_LT(expected.size(), full.violations.size());
 
-  for (bool compiled : {true, false}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      ValidationOptions opts;
-      opts.max_violations_per_ged = kCap;
-      opts.num_threads = threads;
-      opts.policy.plan = compiled ? PlanMode::kCompiled : PlanMode::kPerRule;
-      ValidationReport capped = Validate(kb.graph, sigma, opts);
-      EXPECT_EQ(capped.violations, expected)
-          << threads << " threads, compiled=" << compiled;
-      EXPECT_FALSE(capped.satisfied);
-    }
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ValidationOptions opts;
+    opts.max_violations_per_ged = kCap;
+    opts.num_threads = threads;
+    ValidationReport capped = Validate(kb.graph, sigma, opts);
+    EXPECT_EQ(capped.violations, expected) << threads << " threads";
+    EXPECT_FALSE(capped.satisfied);
   }
 }
 
@@ -104,16 +106,20 @@ TEST(ValidationDeterminism, ValidateTouchingAcrossThreads) {
   rp.pattern_vars = 3;
   rp.pattern_edges = 2;
   rp.seed = 10;
-  std::vector<Ged> sigma = RandomGeds(5, rp);
+  const RulesetPlan plan = RulesetPlan::Compile(RandomGeds(5, rp));
+  const OverlayView overlay(
+      std::make_shared<const FrozenGraph>(FrozenGraph::Freeze(g)));
   std::vector<NodeId> touched;
   for (NodeId v = 0; v < g.NumNodes(); v += 7) touched.push_back(v);
 
   ValidationOptions opts;
   opts.num_threads = 1;
-  ValidationReport serial = ValidateTouching(g, sigma, touched, opts);
+  ValidationReport serial =
+      ValidateTouchingWithPlan(overlay, plan, touched, opts);
   for (unsigned threads : {2u, 8u}) {
     opts.num_threads = threads;
-    ValidationReport parallel = ValidateTouching(g, sigma, touched, opts);
+    ValidationReport parallel =
+        ValidateTouchingWithPlan(overlay, plan, touched, opts);
     EXPECT_EQ(parallel.violations, serial.violations) << threads << " threads";
     EXPECT_EQ(parallel.matches_checked, serial.matches_checked)
         << threads << " threads";
