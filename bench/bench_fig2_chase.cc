@@ -1,10 +1,13 @@
 // Figure 2 / Example 4 + Theorem 1: chase mechanics at scale — the Fig. 2
 // account-merge scenario replicated n times, entity resolution on the music
 // base, step counts against the 8·|G|·|Σ| bound, and Church–Rosser
-// order-shuffling overhead.
+// order-shuffling overhead. Every row reports the chase's deterministic
+// work counters `rounds` and `matches_checked` ((rule, match) pairs whose X
+// was evaluated), from one untimed run: a chase repeats them exactly.
 
 #include <benchmark/benchmark.h>
 
+#include "chase_counters.h"
 #include "chase/chase.h"
 #include "ged/parser.h"
 #include "gen/scenarios.h"
@@ -12,6 +15,7 @@
 namespace {
 
 using namespace ged;
+using ged_bench::SetChaseCounters;
 
 // n copies of the Fig. 2 gadget: all 2n accounts share A = 1, so the chase
 // merges them into a single account with 2n satellites.
@@ -54,6 +58,7 @@ void BM_Fig2_ChaseMerges(benchmark::State& state) {
   }
   double bound = 8.0 * static_cast<double>(g.Size()) *
                  static_cast<double>(SigmaSize(sigma));
+  SetChaseCounters(state, Chase(g, sigma));
   state.counters["copies"] = static_cast<double>(n);
   state.counters["steps"] = static_cast<double>(steps);
   state.counters["bound_8GS"] = bound;
@@ -73,6 +78,7 @@ void BM_Fig2_EntityResolution(benchmark::State& state) {
     steps = res.num_steps;
     benchmark::DoNotOptimize(res.consistent);
   }
+  SetChaseCounters(state, Chase(music.graph, keys));
   state.counters["nodes"] = static_cast<double>(music.graph.NumNodes());
   state.counters["steps"] = static_cast<double>(steps);
 }
@@ -88,6 +94,7 @@ void BM_Fig2_ChurchRosserShuffle(benchmark::State& state) {
     ChaseResult res = Chase(g, sigma, nullptr, opts);
     benchmark::DoNotOptimize(res.consistent);
   }
+  SetChaseCounters(state, Chase(g, sigma, nullptr, opts));
   state.counters["order_seed"] = static_cast<double>(state.range(0));
 }
 
@@ -114,6 +121,7 @@ void BM_Fig2_InvalidSequence(benchmark::State& state) {
     consistent = res.consistent;
     benchmark::DoNotOptimize(res.consistent);
   }
+  SetChaseCounters(state, Chase(g, rules));
   state.counters["copies"] = static_cast<double>(state.range(0));
   state.counters["consistent"] = consistent ? 1 : 0;
 }

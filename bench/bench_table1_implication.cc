@@ -6,9 +6,15 @@
 //  * per-class cost of CheckImplication on random (Σ, φ);
 //  * the Theorem 5 hardness core: the single-GFDx (and GKey-style) family
 //    ColoringImplicationGfdx(H) — Σ ⊨ φ iff H is 3-colorable — sweeping H.
+//
+// The rows that run CheckImplication directly report the chase's
+// deterministic work counters `rounds` and `matches_checked` (summed over
+// the row's implication queries) from one untimed run; a chase repeats
+// them exactly.
 
 #include <benchmark/benchmark.h>
 
+#include "chase_counters.h"
 #include "gen/hardness.h"
 #include "gen/random_gen.h"
 #include "reason/implication.h"
@@ -16,6 +22,19 @@
 namespace {
 
 using namespace ged;
+
+// Chase counters of CheckImplication(sigma, phi) summed over `phis`.
+void SetChaseCounters(benchmark::State& state, const std::vector<Ged>& sigma,
+                      const std::vector<Ged>& phis) {
+  uint64_t rounds = 0;
+  uint64_t checked = 0;
+  for (const Ged& phi : phis) {
+    ImplicationResult res = CheckImplication(sigma, phi);
+    rounds += res.chase.rounds;
+    checked += res.chase.matches_checked;
+  }
+  ged_bench::SetChaseCounters(state, rounds, checked);
+}
 
 RandomGedParams ClassParams(GedClassKind kind, unsigned seed) {
   RandomGedParams p;
@@ -42,6 +61,7 @@ void BM_Implication_Class(benchmark::State& state, GedClassKind kind) {
       implied += Implies(sigma, phi);
     }
   }
+  SetChaseCounters(state, sigma, phis);
   state.counters["rules"] = static_cast<double>(num_rules);
   state.counters["implied_of_4"] =
       static_cast<double>(implied) /
@@ -57,6 +77,7 @@ void BM_Implication_HardnessGfdx(benchmark::State& state) {
     implied = Implies(inst.sigma, inst.phi);
     benchmark::DoNotOptimize(implied);
   }
+  SetChaseCounters(state, inst.sigma, {inst.phi});
   state.counters["H_nodes"] = static_cast<double>(n);
   state.counters["implied"] = implied ? 1 : 0;  // = H 3-colorable
 }
@@ -70,6 +91,7 @@ void BM_Implication_HardnessGkey(benchmark::State& state) {
     implied = Implies(inst.sigma, inst.phi);
     benchmark::DoNotOptimize(implied);
   }
+  SetChaseCounters(state, inst.sigma, {inst.phi});
   state.counters["H_nodes"] = static_cast<double>(n);
   state.counters["implied"] = implied ? 1 : 0;
 }

@@ -8,9 +8,13 @@
 //  * the Theorem 3 hardness core: ColoringSatisfiabilityGfds(H) on random H
 //    with growing node count — worst-case cost climbs steeply because the
 //    chase must find a homomorphism H → K3.
+//
+// Every row reports the chase's deterministic work counters `rounds` and
+// `matches_checked` from one untimed run (a chase repeats them exactly).
 
 #include <benchmark/benchmark.h>
 
+#include "chase_counters.h"
 #include "gen/hardness.h"
 #include "gen/random_gen.h"
 #include "reason/satisfiability.h"
@@ -18,6 +22,7 @@
 namespace {
 
 using namespace ged;
+using ged_bench::SetChaseCounters;
 
 RandomGedParams ClassParams(GedClassKind kind, unsigned seed) {
   RandomGedParams p;
@@ -43,6 +48,7 @@ void BM_Satisfiability_Class(benchmark::State& state, GedClassKind kind) {
     benchmark::DoNotOptimize(res.satisfiable);
     satisfiable += res.satisfiable;
   }
+  SetChaseCounters(state, CheckSatisfiability(sigma).chase);
   state.counters["rules"] = static_cast<double>(num_rules);
   state.counters["satisfiable"] =
       static_cast<double>(satisfiable > 0 ? 1 : 0);
@@ -57,6 +63,7 @@ void BM_Satisfiability_HardnessGfd(benchmark::State& state) {
     sat = IsSatisfiable(sigma);
     benchmark::DoNotOptimize(sat);
   }
+  SetChaseCounters(state, CheckSatisfiability(sigma).chase);
   state.counters["H_nodes"] = static_cast<double>(n);
   state.counters["satisfiable"] = sat ? 1 : 0;  // = H not 3-colorable
 }
@@ -70,6 +77,7 @@ void BM_Satisfiability_HardnessGedx(benchmark::State& state) {
     sat = IsSatisfiable(sigma);
     benchmark::DoNotOptimize(sat);
   }
+  SetChaseCounters(state, CheckSatisfiability(sigma).chase);
   state.counters["H_nodes"] = static_cast<double>(n);
   state.counters["satisfiable"] = sat ? 1 : 0;
 }

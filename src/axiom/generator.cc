@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "reason/implication.h"
@@ -193,13 +194,14 @@ class ProofBuilder {
     for (size_t idx = 0; idx < sigma_.size(); ++idx) {
       if (!sigma_[idx].is_forbidding()) continue;
       const Ged& phi = sigma_[idx];
-      std::vector<Match> matches = AllMatches(phi.pattern(), co_->graph);
-      for (const Match& h : matches) {
-        if (!EqSatisfiesAll(*eq_, *co_, h, phi.X())) continue;
-        Match base(h.size());
-        for (size_t i = 0; i < h.size(); ++i) base[i] = co_->rep[h[i]];
-        return ReplayEmbedding(idx, base);
-      }
+      std::optional<Match> firing;
+      EnumerateMatches(phi.pattern(), co_->graph, {}, [&](const Match& h) {
+        if (!EqSatisfiesAll(*eq_, *co_, h, phi.X())) return true;
+        firing.emplace(h.size());
+        for (size_t i = 0; i < h.size(); ++i) (*firing)[i] = co_->rep[h[i]];
+        return false;
+      });
+      if (firing.has_value()) return ReplayEmbedding(idx, *firing);
     }
     return Status::Internal("no firing forbidding GED found");
   }

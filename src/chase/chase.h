@@ -12,6 +12,37 @@
 //   * merge nodes (id literals) — including their attributes and edges,
 //   * generate new attributes on schemaless nodes,
 //   * run into label or attribute conflicts (invalid sequence, result ⊥).
+//
+// How Chase() runs. Σ is compiled once per call into shared-pattern
+// buckets (plan/RulesetPlan), so rules with isomorphic patterns share one
+// enumeration. The chase then runs in rounds. A round freezes the coercion
+// of the current Eq (a FrozenGraph of the quotient), enumerates each
+// bucket's matches into one flat row buffer, and for every row and member
+// rule evaluates X and enforces Y against the live Eq. Steps applied during
+// a round do not change the frozen quotient; their effect is seen in the
+// next round. The chase ends after a round that applies no step, or at ⊥.
+//
+// The first round enumerates every match. Later rounds are semi-naive: they
+// enumerate only the matches that bind a quotient node whose class changed
+// since the previous round's start. A class has changed when its members,
+// its attribute set, any attribute's term root or a bound constant changed.
+// This is exact. Eq only grows, and a union-find root never becomes a root
+// again, so a class whose state is equal at both ends of a round was equal
+// throughout it. A literal's truth at a match depends only on the states of
+// the classes it binds, and a quotient edge between two unchanged classes
+// is unchanged. So a match binding only unchanged classes was a match of the
+// previous round's quotient, and was there either already non-applicable or
+// checked in that round against the same class states — after which its Y
+// held or the chase had stopped. Hence any applicable step binds a changed
+// class. The touched-class set is computed by comparing class snapshots,
+// not from which steps ran, so chases that also create nodes (generating
+// dependencies) can feed it new nodes the same way.
+//
+// ChaseResult::rounds and ::matches_checked count the work; for a given
+// order_seed both, like num_steps, repeat exactly.
+//
+// tests/reference/reference_chase.h is the naive full-rescan chase the
+// tests hold this one to.
 
 #ifndef GEDLIB_CHASE_CHASE_H_
 #define GEDLIB_CHASE_CHASE_H_
@@ -52,8 +83,9 @@ struct ChaseOptions {
   /// Safety cap on applied steps (0 = unlimited; the chase is finite anyway,
   /// bounded by 8·|G|·|Σ| per Theorem 1).
   uint64_t max_steps = 0;
-  /// 0 = deterministic application order; otherwise rules and matches are
-  /// shuffled by this seed (Church–Rosser property testing).
+  /// 0 = deterministic application order; otherwise each round shuffles
+  /// the bucket order, the rule order within a bucket and each bucket's
+  /// match rows by this seed (Church–Rosser property testing).
   unsigned order_seed = 0;
   /// Record the journal of applied steps (needed by the proof generator).
   bool record_journal = true;
@@ -76,6 +108,11 @@ struct ChaseResult {
   std::vector<ChaseStep> journal;
   /// Number of applied steps.
   uint64_t num_steps = 0;
+  /// Rounds run, the last one (which applies nothing) included; 0 when the
+  /// initial Eq is already inconsistent.
+  uint64_t rounds = 0;
+  /// (rule, match) pairs whose X was evaluated, over all rounds.
+  uint64_t matches_checked = 0;
   /// True iff max_steps stopped the chase early.
   bool capped = false;
 };

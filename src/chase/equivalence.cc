@@ -18,11 +18,12 @@ void EqRel::Init() {
   const Graph& base = *base_;
   size_t n = base.NumNodes();
   nodes_.Reset(n);
-  members_.reserve(n);
+  members_.resize(n);
+  class_label_.resize(n);
+  class_attrs_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     members_[v] = {v};
     class_label_[v] = base.label(v);
-    class_attrs_[v];  // ensure map exists
   }
   for (NodeId v = 0; v < n; ++v) {
     for (const auto& [a, c] : base.attrs(v)) {
@@ -66,14 +67,13 @@ void EqRel::MergeNodes(NodeId u, NodeId v) {
   auto& mr = members_[root];
   auto& ml = members_[loser];
   mr.insert(mr.end(), ml.begin(), ml.end());
-  members_.erase(loser);
+  ml = {};
   // Label: the non-wildcard one wins.
   Label resolved = (la != kWildcard) ? la : lb;
   class_label_[root] = resolved;
-  class_label_.erase(loser);
   // Closure rule (d): merge per-attribute classes.
   auto loser_attrs = std::move(class_attrs_[loser]);
-  class_attrs_.erase(loser);
+  class_attrs_[loser].clear();
   auto& root_attrs = class_attrs_[root];
   for (auto& [attr, t] : loser_attrs) {
     auto it = root_attrs.find(attr);
@@ -87,14 +87,11 @@ void EqRel::MergeNodes(NodeId u, NodeId v) {
 }
 
 Label EqRel::ClassLabel(NodeId v) const {
-  auto it = class_label_.find(nodes_.Find(v));
-  return it == class_label_.end() ? kWildcard : it->second;
+  return class_label_[nodes_.Find(v)];
 }
 
 const std::vector<NodeId>& EqRel::ClassMembers(NodeId v) const {
-  static const std::vector<NodeId> kEmpty;
-  auto it = members_.find(nodes_.Find(v));
-  return it == members_.end() ? kEmpty : it->second;
+  return members_[nodes_.Find(v)];
 }
 
 TermId EqRel::GetOrCreateTerm(NodeId v, AttrId a) {
@@ -112,10 +109,9 @@ TermId EqRel::GetOrCreateTerm(NodeId v, AttrId a) {
 }
 
 TermId EqRel::FindTerm(NodeId v, AttrId a) const {
-  auto cls = class_attrs_.find(nodes_.Find(v));
-  if (cls == class_attrs_.end()) return kNoTerm;
-  auto it = cls->second.find(a);
-  if (it == cls->second.end()) return kNoTerm;
+  const std::map<AttrId, TermId>& attrs = class_attrs_[nodes_.Find(v)];
+  auto it = attrs.find(a);
+  if (it == attrs.end()) return kNoTerm;
   return terms_.Find(it->second);
 }
 
@@ -165,15 +161,18 @@ void EqRel::BindConst(TermId t, const Value& c) {
 }
 
 std::optional<Value> EqRel::TermConst(TermId t) const {
+  const Value* c = FindConst(t);
+  if (c == nullptr) return std::nullopt;
+  return *c;
+}
+
+const Value* EqRel::FindConst(TermId t) const {
   auto it = term_const_.find(terms_.Find(t));
-  if (it == term_const_.end()) return std::nullopt;
-  return it->second;
+  return it == term_const_.end() ? nullptr : &it->second;
 }
 
 const std::map<AttrId, TermId>& EqRel::ClassAttrs(NodeId v) const {
-  static const std::map<AttrId, TermId> kEmpty;
-  auto it = class_attrs_.find(nodes_.Find(v));
-  return it == class_attrs_.end() ? kEmpty : it->second;
+  return class_attrs_[nodes_.Find(v)];
 }
 
 std::vector<TermId> EqRel::TermClassRoots() const {

@@ -88,6 +88,9 @@ class EqRel {
   TermId TermRoot(TermId t) const { return terms_.Find(t); }
   /// The constant of t's class, if any.
   std::optional<Value> TermConst(TermId t) const;
+  /// The constant of t's class, or nullptr (no copy; valid until the next
+  /// mutation of the relation).
+  const Value* FindConst(TermId t) const;
 
   /// All attributes of v's node class, as (attr, term) pairs.
   const std::map<AttrId, TermId>& ClassAttrs(NodeId v) const;
@@ -124,11 +127,12 @@ class EqRel {
 
   std::shared_ptr<const Graph> base_;
   UnionFind nodes_;
-  // Per node-root: members and resolved label.
-  std::unordered_map<NodeId, std::vector<NodeId>> members_;
-  std::unordered_map<NodeId, Label> class_label_;
-  // Per node-root: attribute -> term root.
-  std::unordered_map<NodeId, std::map<AttrId, TermId>> class_attrs_;
+  // Indexed by node id, meaningful at node roots (a merged-away root's
+  // entries are cleared): members and resolved label.
+  std::vector<std::vector<NodeId>> members_;
+  std::vector<Label> class_label_;
+  // Per node-root: attribute -> term (a member of the attribute's class).
+  std::vector<std::map<AttrId, TermId>> class_attrs_;
 
   UnionFind terms_;
   // Term bookkeeping: every created term remembers its (node, attr) origin.

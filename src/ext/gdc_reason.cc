@@ -353,31 +353,28 @@ void GdcChase(const Graph& base, const std::vector<Gdc>& sigma,
   while (changed && !state->conflict && rounds++ < 256) {
     changed = false;
     Coercion co = BuildCoercion(state->eq);
+    Match bm;
     for (const Gdc& phi : sigma) {
-      std::vector<Match> matches = AllMatches(phi.pattern(), co.graph);
-      for (const Match& h : matches) {
-        Match bm(h.size());
+      EnumerateMatches(phi.pattern(), co.graph, {}, [&](const Match& h) {
+        bm.resize(h.size());
         for (size_t i = 0; i < h.size(); ++i) bm[i] = co.rep[h[i]];
-        bool fire = true;
         for (const GdcLiteral& l : phi.X()) {
-          if (!Entailed(state, bm, l)) {
-            fire = false;
-            break;
-          }
+          if (!Entailed(state, bm, l)) return true;
         }
-        if (!fire) continue;
         if (phi.is_forbidding()) {
           state->conflict = true;
           state->reason = "forbidding GDC '" + phi.name() + "' applies";
-          return;
+          return false;
         }
         for (const GdcLiteral& l : phi.Y()) {
           if (Entailed(state, bm, l)) continue;
           Enforce(state, bm, l);
           changed = true;
-          if (state->conflict) return;
+          if (state->conflict) return false;
         }
-      }
+        return true;
+      });
+      if (state->conflict) return;
     }
     Normalize(state);
     if (state->conflict) return;

@@ -106,28 +106,22 @@ struct Pending {
 std::optional<Pending> FindPending(const EqRel& eq,
                                    const std::vector<GedOr>& sigma) {
   Coercion co = BuildCoercion(eq);
+  std::optional<Pending> pending;
+  Match bm;
   for (const GedOr& psi : sigma) {
-    std::vector<Match> matches = AllMatches(psi.pattern(), co.graph);
-    for (const Match& h : matches) {
-      Match bm(h.size());
+    EnumerateMatches(psi.pattern(), co.graph, {}, [&](const Match& h) {
+      bm.resize(h.size());
       for (size_t i = 0; i < h.size(); ++i) bm[i] = co.rep[h[i]];
-      bool x_ok = true;
       for (const Literal& l : psi.X()) {
-        if (!LiteralHoldsAt(eq, bm, l)) {
-          x_ok = false;
-          break;
-        }
+        if (!LiteralHoldsAt(eq, bm, l)) return true;
       }
-      if (!x_ok) continue;
-      bool some = false;
       for (const Literal& l : psi.Y()) {
-        if (LiteralHoldsAt(eq, bm, l)) {
-          some = true;
-          break;
-        }
+        if (LiteralHoldsAt(eq, bm, l)) return true;
       }
-      if (!some) return Pending{&psi, bm};
-    }
+      pending = Pending{&psi, bm};
+      return false;
+    });
+    if (pending.has_value()) return pending;
   }
   return std::nullopt;
 }

@@ -50,8 +50,9 @@ struct PatternCanonicalForm {
 };
 
 /// Variable count above which CanonicalizePattern falls back to the identity
-/// encoding (the minimization is exhaustive over label-compatible
-/// permutations, fine for the paper's bounded-size patterns).
+/// encoding (the minimization searches the label-compatible permutations,
+/// pruned but exhaustive in the worst case; fine for the paper's
+/// bounded-size patterns).
 inline constexpr size_t kMaxCanonicalVars = 8;
 
 /// Computes the lexicographically smallest encoding of `q` over all variable

@@ -5,6 +5,7 @@
 
 #include "chase/chase.h"
 #include "ged/parser.h"
+#include "reference/reference_chase.h"
 
 namespace ged {
 namespace {
@@ -223,7 +224,8 @@ TEST(Chase, CascadingMerges) {
 }
 
 TEST(Chase, ChurchRosserAcrossSeeds) {
-  // Theorem 1: terminal chasing sequences agree regardless of order.
+  // Theorem 1: terminal chasing sequences agree regardless of order, with
+  // the naive reference chase too.
   auto sigma = ParseGeds(R"(
     ged r1 {
       match (x:n), (y:n)
@@ -246,11 +248,10 @@ TEST(Chase, ChurchRosserAcrossSeeds) {
     NodeId v = g.AddNode("n");
     g.SetAttr(v, "a", Value(i % 2 == 0 ? 1 : i));
   }
-  ChaseOptions base;
-  ChaseResult reference = Chase(g, sigma.value(), nullptr, base);
+  reference::RefChaseResult reference = reference::Chase(g, sigma.value());
   ASSERT_TRUE(reference.consistent);
   std::string ref_sig = reference.eq.CanonicalSignature();
-  for (unsigned seed = 1; seed <= 12; ++seed) {
+  for (unsigned seed = 0; seed <= 12; ++seed) {
     ChaseOptions opts;
     opts.order_seed = seed;
     ChaseResult res = Chase(g, sigma.value(), nullptr, opts);
@@ -260,7 +261,7 @@ TEST(Chase, ChurchRosserAcrossSeeds) {
 }
 
 TEST(Chase, ChurchRosserOnInvalidSequences) {
-  // All orders must agree on ⊥ too.
+  // All orders must agree with the reference on ⊥ too.
   Graph g = Fig2Graph();
   auto sigma = ParseGeds(R"(
     ged m1 {
@@ -273,6 +274,7 @@ TEST(Chase, ChurchRosserOnInvalidSequences) {
       then  y.id = z.id
     })");
   ASSERT_TRUE(sigma.ok());
+  ASSERT_FALSE(reference::Chase(g, sigma.value()).consistent);
   for (unsigned seed = 0; seed <= 8; ++seed) {
     ChaseOptions opts;
     opts.order_seed = seed;

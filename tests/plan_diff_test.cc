@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 
@@ -103,6 +105,62 @@ TEST(CanonicalizePattern, NonIsomorphicPatternsSeparate) {
   other.AddEdge(0, "e", 1);
   other.AddEdge(1, "e", 2);
   EXPECT_NE(CanonicalizePattern(chain).key, CanonicalizePattern(other).key);
+}
+
+TEST(CanonicalizePattern, IsTheMinimumOverAllPermutations) {
+  // The canonical form is defined as the lexicographically smallest
+  // encoding over all variable permutations, ties to the first such
+  // permutation in lexicographic order; the pruned search must find exactly
+  // that. Random patterns with few labels, wildcards, self-loops and
+  // two-copy (GKey-style) layouts keep ties and symmetry common.
+  auto encode = [](const Pattern& q, const std::vector<VarId>& perm) {
+    std::vector<VarId> pos(q.NumVars());
+    for (VarId i = 0; i < q.NumVars(); ++i) pos[perm[i]] = i;
+    std::vector<uint64_t> key;
+    key.push_back(q.NumVars());
+    for (VarId x : perm) key.push_back(q.label(x));
+    key.push_back(q.NumEdges());
+    std::vector<std::array<uint64_t, 3>> edges;
+    for (const Pattern::PEdge& e : q.edges()) {
+      edges.push_back({pos[e.src], e.label, pos[e.dst]});
+    }
+    std::sort(edges.begin(), edges.end());
+    for (const auto& e : edges) key.insert(key.end(), e.begin(), e.end());
+    return key;
+  };
+  std::mt19937 rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    Pattern q;
+    size_t half = rng() % 5;
+    size_t labels = 1 + rng() % 3;
+    for (size_t i = 0; i < half; ++i) {
+      q.AddVar("x" + std::to_string(i),
+               rng() % 4 == 0 ? kWildcard
+                              : Sym("L" + std::to_string(rng() % labels)));
+    }
+    size_t edges = half == 0 ? 0 : rng() % (2 * half + 1);
+    for (size_t j = 0; j < edges; ++j) {
+      q.AddEdge(rng() % half, Sym(rng() % 2 ? "e" : "f"), rng() % half);
+    }
+    if (rng() % 2 == 0) q.DisjointUnion(Pattern(q), "'");
+
+    std::vector<VarId> perm(q.NumVars());
+    std::iota(perm.begin(), perm.end(), 0);
+    std::vector<uint64_t> best_key = encode(q, perm);
+    std::vector<VarId> best_perm = perm;
+    while (std::next_permutation(perm.begin(), perm.end())) {
+      std::vector<uint64_t> key = encode(q, perm);
+      if (key < best_key) {
+        best_key = std::move(key);
+        best_perm = perm;
+      }
+    }
+    PatternCanonicalForm form = CanonicalizePattern(q);
+    ASSERT_EQ(form.key, best_key) << "trial " << trial << ": " << q.ToString();
+    for (VarId i = 0; i < q.NumVars(); ++i) {
+      EXPECT_EQ(form.to_canonical[best_perm[i]], i) << "trial " << trial;
+    }
+  }
 }
 
 TEST(RulesetPlan, BucketsIsomorphicRulesTogether) {

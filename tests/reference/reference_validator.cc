@@ -42,26 +42,19 @@ bool HoldsAll(const Graph& g, const std::vector<NodeId>& h,
   return true;
 }
 
-// Backtracking over variables 0, 1, ..., n-1 of one rule's pattern.
-class RuleSearch {
+// Backtracking over variables 0, 1, ..., n-1 of one pattern.
+class PatternSearch {
  public:
-  RuleSearch(const Graph& g, const Ged& phi, size_t ged_index, bool injective,
-             const MatchFilter& keep, RefReport* out)
-      : g_(g),
-        phi_(phi),
-        q_(phi.pattern()),
-        ged_index_(ged_index),
-        injective_(injective),
-        keep_(keep),
-        out_(out),
-        h_(q_.NumVars()) {}
+  PatternSearch(const Pattern& q, const Graph& g, bool injective,
+                const std::function<void(const std::vector<NodeId>&)>& visit)
+      : q_(q), g_(g), injective_(injective), visit_(visit), h_(q.NumVars()) {}
 
   void Run() { Extend(0); }
 
  private:
   void Extend(VarId x) {
     if (x == q_.NumVars()) {
-      Inspect();
+      visit_(h_);
       return;
     }
     for (NodeId v = 0; v < g_.NumNodes(); ++v) {
@@ -90,32 +83,35 @@ class RuleSearch {
     return true;
   }
 
-  void Inspect() {
-    if (keep_ && !keep_(phi_, h_)) return;
-    ++out_->matches_checked;
-    if (!HoldsAll(g_, h_, phi_.X())) return;
-    if (phi_.is_forbidding() || !HoldsAll(g_, h_, phi_.Y())) {
-      out_->violations.push_back(RefViolation{ged_index_, h_});
-    }
-  }
-
-  const Graph& g_;
-  const Ged& phi_;
   const Pattern& q_;
-  size_t ged_index_;
+  const Graph& g_;
   bool injective_;
-  const MatchFilter& keep_;
-  RefReport* out_;
+  const std::function<void(const std::vector<NodeId>&)>& visit_;
   std::vector<NodeId> h_;
 };
 
 }  // namespace
 
+void ForEachMatch(
+    const Pattern& q, const Graph& g, bool injective,
+    const std::function<void(const std::vector<NodeId>&)>& visit) {
+  PatternSearch(q, g, injective, visit).Run();
+}
+
 RefReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                    bool injective, const MatchFilter& keep) {
   RefReport report;
   for (size_t i = 0; i < sigma.size(); ++i) {
-    RuleSearch(g, sigma[i], i, injective, keep, &report).Run();
+    const Ged& phi = sigma[i];
+    ForEachMatch(phi.pattern(), g, injective,
+                 [&](const std::vector<NodeId>& h) {
+                   if (keep && !keep(phi, h)) return;
+                   ++report.matches_checked;
+                   if (!HoldsAll(g, h, phi.X())) return;
+                   if (phi.is_forbidding() || !HoldsAll(g, h, phi.Y())) {
+                     report.violations.push_back(RefViolation{i, h});
+                   }
+                 });
   }
   // Rules are visited in index order and nodes in increasing order, so the
   // list is already sorted; sort anyway so that claim is not load-bearing.

@@ -47,6 +47,12 @@ struct RefReport {
   uint64_t matches_checked = 0;
 };
 
+/// Calls `visit` with every match h(x̄) of `q` in `g` (the variables in
+/// index order, each tried against every node in increasing id order).
+/// `injective` selects the isomorphism semantics.
+void ForEachMatch(const Pattern& q, const Graph& g, bool injective,
+                  const std::function<void(const std::vector<NodeId>&)>& visit);
+
 /// Decides which matches a run inspects: (rule, h) → keep. A match that is
 /// not kept is neither counted nor checked.
 using MatchFilter =

@@ -13,9 +13,9 @@ Two modes:
      count, clock within 10%); across different hosts wall-clock is
      advisory (warnings), because a slower runner is not a slower program.
    * Deterministic user counters (search_steps, matches, matches_checked,
-     violations) must match the baseline almost exactly (1% slack for
-     counter rounding) on *any* host: they measure algorithmic work, not
-     hardware. An increase fails, a decrease just prints (improvement —
+     violations, rounds, ...) must match the baseline almost exactly (1%
+     slack for counter rounding) on *any* host: they measure algorithmic
+     work, not hardware. An increase fails, a decrease just prints (improvement —
      refresh the baseline to lock it in).
    * Benchmarks present on one side only are reported but do not fail (new
      benchmarks need a baseline refresh, retired ones a cleanup).
@@ -64,9 +64,11 @@ import sys
 # Counters that measure deterministic algorithmic work (identical run to
 # run); everything else (rates, sizes) is informational. lf_seeks / lf_fanin
 # come from an untimed profiled pass in bench_matcher_ablation — they pin
-# the leapfrog kernel's shape, not just its wall time.
+# the leapfrog kernel's shape, not just its wall time. rounds (with
+# matches_checked) is the chase's work on the reasoning benches.
 DETERMINISTIC_COUNTERS = ("search_steps", "matches", "matches_checked",
-                          "violations", "lf_seeks", "lf_fanin", "lf_rounds")
+                          "violations", "lf_seeks", "lf_fanin", "lf_rounds",
+                          "rounds")
 COUNTER_SLACK = 0.01
 
 # Highest BENCH_*.json schema this tool understands (absent field = 1).
