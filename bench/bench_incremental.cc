@@ -77,14 +77,23 @@ GraphDelta MakeKbDelta(const Graph& g, size_t num_products,
 // occasional like between existing account and blog (a cross edge, the
 // edge-seeded re-scan path), and — rarely, fraud being rare — a streamed
 // spam pair (Q5's shape, k shared likes).
+// Every node of `g` labelled `l`, by increasing id.
+std::vector<NodeId> NodesLabelled(const Graph& g, Label l) {
+  std::vector<NodeId> out;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (g.label(v) == l) out.push_back(v);
+  }
+  return out;
+}
+
 GraphDelta MakeSocialDelta(const Graph& g, size_t num_accounts, size_t k,
                            std::mt19937* rng) {
   static const Label kAccount = Sym("account"), kBlog = Sym("blog"),
                      kLike = Sym("like"), kPost = Sym("post");
   static const AttrId kIsFake = Sym("is_fake"), kKeyword = Sym("keyword");
   GraphDelta d(g);
-  const std::vector<NodeId>& blogs = g.NodesWithLabel(kBlog);
-  const std::vector<NodeId>& accounts = g.NodesWithLabel(kAccount);
+  const std::vector<NodeId> blogs = NodesLabelled(g, kBlog);
+  const std::vector<NodeId> accounts = NodesLabelled(g, kAccount);
   auto some_blog = [&]() { return blogs[(*rng)() % blogs.size()]; };
   for (size_t i = 0; i < num_accounts; ++i) {
     NodeId a = d.AddNode(kAccount);
@@ -125,8 +134,8 @@ GraphDelta MakeMusicDelta(const Graph& g, size_t num_albums,
                      kBy = Sym("by");
   static const AttrId kTitle = Sym("title"), kRelease = Sym("release");
   GraphDelta d(g);
-  const std::vector<NodeId>& artists = g.NodesWithLabel(kArtist);
-  const std::vector<NodeId>& albums = g.NodesWithLabel(kAlbum);
+  const std::vector<NodeId> artists = NodesLabelled(g, kArtist);
+  const std::vector<NodeId> albums = NodesLabelled(g, kAlbum);
   for (size_t i = 0; i < num_albums; ++i) {
     NodeId album = d.AddNode(kAlbum);
     if ((*rng)() % 4 == 0) {

@@ -1,9 +1,9 @@
 // Matcher ablation (DESIGN.md design-choice bench): the homomorphism
 // matcher's candidate filtering and variable-ordering optimizations toggled
 // independently on the spam workload (Q5 is the largest Fig. 1 pattern) and
-// on a dense random graph — each against both read backends (mutable Graph
-// adjacency vs FrozenGraph CSR snapshot; the snapshot is built outside the
-// timed loop, isolating the read-path difference).
+// on a dense random graph, against the FrozenGraph CSR snapshot (built
+// outside the timed loop). The *_frozen row names date from when a mutable
+// Graph backend was ablated next to the snapshot.
 //
 // BM_DensePattern is the worst-case-optimal candidate-generation gate: the
 // clique patterns of the dense community scenario (gen/scenarios.h) against
@@ -36,7 +36,7 @@ namespace {
 using namespace ged;
 
 void BM_Ablation_Q5(benchmark::State& state, bool degree, bool smart,
-                    bool frozen, bool intersection = true) {
+                    bool intersection = true) {
   SocialParams params;
   params.num_accounts = 200;
   params.num_blogs = 400;
@@ -52,9 +52,7 @@ void BM_Ablation_Q5(benchmark::State& state, bool degree, bool smart,
   uint64_t steps = 0;
   auto cb = [](const Match&) { return true; };
   for (auto _ : state) {
-    MatchStats stats = frozen
-        ? EnumerateMatches(phi5.pattern(), snapshot, opts, cb)
-        : EnumerateMatches(phi5.pattern(), net.graph, opts, cb);
+    MatchStats stats = EnumerateMatches(phi5.pattern(), snapshot, opts, cb);
     steps = stats.steps;
     benchmark::DoNotOptimize(stats.matches);
   }
@@ -62,8 +60,7 @@ void BM_Ablation_Q5(benchmark::State& state, bool degree, bool smart,
 }
 
 void BM_Ablation_RandomGraph(benchmark::State& state, bool degree,
-                             bool smart, bool frozen,
-                             bool intersection = true) {
+                             bool smart, bool intersection = true) {
   RandomGraphParams gp;
   gp.num_nodes = 300;
   gp.avg_out_degree = 4;
@@ -87,8 +84,7 @@ void BM_Ablation_RandomGraph(benchmark::State& state, bool degree,
   uint64_t steps = 0;
   auto cb = [](const Match&) { return true; };
   for (auto _ : state) {
-    MatchStats stats = frozen ? EnumerateMatches(q, snapshot, opts, cb)
-                              : EnumerateMatches(q, g, opts, cb);
+    MatchStats stats = EnumerateMatches(q, snapshot, opts, cb);
     steps = stats.steps;
     benchmark::DoNotOptimize(stats.matches);
   }
@@ -96,7 +92,7 @@ void BM_Ablation_RandomGraph(benchmark::State& state, bool degree,
 }
 
 // Intersection-vs-legacy ablation on the dense community scenario's clique
-// patterns (frozen backend; the mutable Graph has nothing to intersect).
+// patterns.
 // pattern_index: 0 = triangle, 1 = 4-clique.
 void BM_DensePattern(benchmark::State& state, size_t pattern_index,
                      bool intersection) {
@@ -304,24 +300,18 @@ void BM_ObsValidation(benchmark::State& state, int mode) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Ablation_Q5, baseline_none, false, false, false);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, degree_only, true, false, false);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, order_only, false, true, false);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, both, true, true, false);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, baseline_none_frozen, false, false, true);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, both_frozen, true, true, true);
-BENCHMARK_CAPTURE(BM_Ablation_Q5, both_frozen_legacy_cands, true, true, true,
-                  false);
-BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, baseline_none, false, false,
-                  false);
-BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, degree_only, true, false, false);
-BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, order_only, false, true, false);
-BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, both, true, true, false);
+BENCHMARK_CAPTURE(BM_Ablation_Q5, baseline_none_frozen, false, false);
+BENCHMARK_CAPTURE(BM_Ablation_Q5, degree_only_frozen, true, false);
+BENCHMARK_CAPTURE(BM_Ablation_Q5, order_only_frozen, false, true);
+BENCHMARK_CAPTURE(BM_Ablation_Q5, both_frozen, true, true);
+BENCHMARK_CAPTURE(BM_Ablation_Q5, both_frozen_legacy_cands, true, true, false);
 BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, baseline_none_frozen, false,
-                  false, true);
-BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, both_frozen, true, true, true);
+                  false);
+BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, degree_only_frozen, true, false);
+BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, order_only_frozen, false, true);
+BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, both_frozen, true, true);
 BENCHMARK_CAPTURE(BM_Ablation_RandomGraph, both_frozen_legacy_cands, true,
-                  true, true, false);
+                  true, false);
 BENCHMARK_CAPTURE(BM_DensePattern, triangle_legacy, 0, false)
     ->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DensePattern, triangle_intersection, 0, true)

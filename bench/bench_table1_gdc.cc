@@ -56,7 +56,7 @@ void BM_Gdc_Validation(benchmark::State& state) {
     })");
   bool ok = false;
   for (auto _ : state) {
-    ok = ValidateGdcs(kb.graph, sigma.value());
+    ok = ValidateGdcs(FrozenGraph::Freeze(kb.graph), sigma.value());
     benchmark::DoNotOptimize(ok);
   }
   state.counters["nodes"] = static_cast<double>(kb.graph.NumNodes());

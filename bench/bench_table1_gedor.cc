@@ -47,7 +47,7 @@ void BM_GedOr_Validation(benchmark::State& state) {
     })");
   bool ok = false;
   for (auto _ : state) {
-    ok = ValidateGedOrs(kb.graph, sigma.value());
+    ok = ValidateGedOrs(FrozenGraph::Freeze(kb.graph), sigma.value());
     benchmark::DoNotOptimize(ok);
   }
   state.counters["nodes"] = static_cast<double>(kb.graph.NumNodes());

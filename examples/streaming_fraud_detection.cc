@@ -97,7 +97,7 @@ class GdcMonitor {
  public:
   explicit GdcMonitor(Gdc gdc) : gdc_(std::move(gdc)) {}
 
-  void Rescan(const Graph& g, const std::vector<NodeId>& touched) {
+  void Rescan(const OverlayView& g, const std::vector<NodeId>& touched) {
     auto binds_touched = [&](const Match& h) {
       for (NodeId v : h) {
         if (std::binary_search(touched.begin(), touched.end(), v)) {
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
   if (monitor->graph().NumNodes() > 0) {
     std::vector<NodeId> all(monitor->graph().NumNodes());
     std::iota(all.begin(), all.end(), 0);
-    limit.Rescan(monitor->graph(), all);
+    limit.Rescan(monitor->overlay(), all);
   }
 
   std::cout << "seed: " << monitor->graph().NumNodes() << " nodes, "
@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
       std::cerr << "commit failed: " << applied.status().ToString() << "\n";
       return 1;
     }
-    limit.Rescan(monitor->graph(), applied.value().touched);
+    limit.Rescan(monitor->overlay(), applied.value().touched);
 
     const auto& stats = monitor->last_commit();
     std::cout << "batch " << batch << ": +" << applied.value().nodes_added

@@ -5,7 +5,6 @@
 #include <random>
 #include <span>
 
-#include "graph/frozen.h"
 #include "match/matcher.h"
 #include "plan/plan.h"
 
@@ -13,47 +12,49 @@ namespace ged {
 
 namespace {
 
-// The quotient structure of `eq`: one node per class (numbered in order of
-// its least member), the resolved class labels and the collapsed edges.
-// Attributes stay in Eq.
-Coercion BuildQuotient(const EqRel& eq) {
+// The quotient of `eq`: one node per class (numbered in order of its least
+// member) with the resolved class label, and the collapsed edges, frozen in
+// one pass. With `consts`, every class attribute bound to a constant
+// becomes a quotient attribute (the coercion); without, attributes stay in
+// Eq only (what a chase round reads).
+Coercion BuildQuotient(const EqRel& eq, bool consts) {
   const Graph& base = eq.base();
   constexpr NodeId kNone = UINT32_MAX;
   Coercion co;
+  std::vector<Label> labels;
   co.node_map.assign(base.NumNodes(), kNone);
   for (NodeId v = 0; v < base.NumNodes(); ++v) {
     NodeId root = eq.NodeRoot(v);
     if (co.node_map[root] == kNone) {
-      co.node_map[root] = co.graph.AddNode(eq.ClassLabel(root));
+      co.node_map[root] = static_cast<NodeId>(co.rep.size());
       co.rep.push_back(root);
+      labels.push_back(eq.ClassLabel(root));
     }
     co.node_map[v] = co.node_map[root];
   }
-  for (NodeId v = 0; v < base.NumNodes(); ++v) {
-    for (const Edge& e : base.out(v)) {
-      co.graph.AddEdge(co.node_map[v], e.label, co.node_map[e.other]);
+  FrozenGraph::ColumnarAttrs attrs;
+  if (consts) {
+    // ClassAttrs is ordered by AttrId, as the columnar layout requires.
+    attrs.offsets.push_back(0);
+    for (NodeId root : co.rep) {
+      for (const auto& [attr, term] : eq.ClassAttrs(root)) {
+        if (const Value* c = eq.FindConst(term)) {
+          attrs.keys.push_back(attr);
+          attrs.values.push_back(*c);
+        }
+      }
+      attrs.offsets.push_back(attrs.keys.size());
     }
   }
+  co.graph = FrozenGraph::FreezeQuotient(base, co.node_map, std::move(labels),
+                                         std::move(attrs));
   return co;
-}
-
-// Completes a quotient of `eq` into its coercion: known constants become
-// quotient attributes; attribute classes without a constant stay Eq-only
-// (EqSatisfiesLiteral sees them).
-void AddConstAttrs(const EqRel& eq, Coercion* co) {
-  for (NodeId q = 0; q < co->graph.NumNodes(); ++q) {
-    for (const auto& [attr, term] : eq.ClassAttrs(co->rep[q])) {
-      if (const Value* c = eq.FindConst(term)) co->graph.SetAttr(q, attr, *c);
-    }
-  }
 }
 
 }  // namespace
 
 Coercion BuildCoercion(const EqRel& eq) {
-  Coercion co = BuildQuotient(eq);
-  AddConstAttrs(eq, &co);
-  return co;
+  return BuildQuotient(eq, /*consts=*/true);
 }
 
 namespace {
@@ -150,7 +151,7 @@ bool LiteralHoldsAt(const EqRel& eq, const Match& base_match,
 }
 
 Graph InstantiateModel(const EqRel& eq) {
-  Coercion co = BuildCoercion(eq);
+  Coercion co = BuildQuotient(eq, /*consts=*/false);
   Label fresh_label = Sym("!fresh_label");
   Graph out;
   for (NodeId q = 0; q < co.graph.NumNodes(); ++q) {
@@ -396,10 +397,10 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
 
   Coercion co;
   for (;;) {
-    co = BuildQuotient(eq);
+    co = BuildQuotient(eq, /*consts=*/false);
     ClassStates states = SnapshotClasses(eq, co.rep);
     if (res.rounds > 0) touched = ChangedClasses(prev, prev_states, co, states);
-    const FrozenGraph frozen = FrozenGraph::Freeze(co.graph);
+    const FrozenGraph& frozen = co.graph;
     ++res.rounds;
     bool changed = false;
 
@@ -469,10 +470,8 @@ ChaseResult Chase(const Graph& base, const std::vector<Ged>& sigma,
     prev = std::move(co);
     prev_states = std::move(states);
   }
-  // The quiet last round changed nothing, so its quotient is G_Eq's.
   res.consistent = true;
-  AddConstAttrs(eq, &co);
-  res.coercion = std::move(co);
+  res.coercion = BuildCoercion(eq);
   return res;
 }
 

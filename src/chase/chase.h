@@ -15,10 +15,10 @@
 //
 // How Chase() runs. Σ is compiled once per call into shared-pattern
 // buckets (plan/RulesetPlan), so rules with isomorphic patterns share one
-// enumeration. The chase then runs in rounds. A round freezes the coercion
-// of the current Eq (a FrozenGraph of the quotient), enumerates each
-// bucket's matches into one flat row buffer, and for every row and member
-// rule evaluates X and enforces Y against the live Eq. Steps applied during
+// enumeration. The chase then runs in rounds. A round builds the quotient
+// of the current Eq straight into a FrozenGraph, enumerates each bucket's
+// matches into one flat row buffer, and for every row and member rule
+// evaluates X and enforces Y against the live Eq. Steps applied during
 // a round do not change the frozen quotient; their effect is seen in the
 // next round. The chase ends after a round that applies no step, or at ⊥.
 //
@@ -52,23 +52,29 @@
 
 #include "chase/equivalence.h"
 #include "ged/ged.h"
+#include "graph/frozen.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 
 namespace ged {
 
-/// The coercion G_Eq of a consistent Eq on G (§4.1): the quotient graph.
-/// Node labels are resolved per class; every class attribute with a known
-/// constant becomes a graph attribute of the quotient node.
+/// The coercion G_Eq of a consistent Eq on G (§4.1): the quotient graph,
+/// built straight into a CSR snapshot (FrozenGraph::FreezeQuotient) that
+/// every match over the coercion reads — the chase rounds, the GDC chase,
+/// the GED∨ step finder, the proof generator and the GED6 check of the
+/// proof checker. Node labels are resolved per class; every class
+/// attribute with a known constant becomes an attribute of the quotient
+/// node. Attribute classes without a constant stay in Eq
+/// (EqSatisfiesLiteral reads them there).
 struct Coercion {
-  Graph graph;
+  FrozenGraph graph;
   /// base node -> quotient node.
   std::vector<NodeId> node_map;
   /// quotient node -> representative base node (class root).
   std::vector<NodeId> rep;
 };
 
-/// Builds the coercion of `eq` on its base graph.
+/// Builds the coercion of `eq` on its base graph (one CSR construction).
 Coercion BuildCoercion(const EqRel& eq);
 
 /// One applied chase step (journal entry), recorded against base-graph ids.

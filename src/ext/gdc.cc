@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "graph/overlay.h"
+#include "graph/view.h"
+
 namespace ged {
 
 bool EvalPred(Pred op, const Value& a, const Value& b) {
@@ -142,7 +145,11 @@ std::string Gdc::ToString() const {
   return os.str();
 }
 
-bool SatisfiesGdcLiteral(const Graph& g, const Match& h, const GdcLiteral& l) {
+namespace {
+
+template <GraphView GView>
+bool SatisfiesGdcLiteralT(const GView& g, const Match& h,
+                          const GdcLiteral& l) {
   switch (l.kind) {
     case GdcLiteral::Kind::kConstPred: {
       auto v = g.attr(h[l.x], l.a);
@@ -159,15 +166,33 @@ bool SatisfiesGdcLiteral(const Graph& g, const Match& h, const GdcLiteral& l) {
   return false;
 }
 
-bool SatisfiesAllGdc(const Graph& g, const Match& h,
-                     const std::vector<GdcLiteral>& literals) {
+template <GraphView GView>
+bool SatisfiesAllGdcT(const GView& g, const Match& h,
+                      const std::vector<GdcLiteral>& literals) {
   for (const GdcLiteral& l : literals) {
-    if (!SatisfiesGdcLiteral(g, h, l)) return false;
+    if (!SatisfiesGdcLiteralT(g, h, l)) return false;
   }
   return true;
 }
 
-std::vector<Match> FindGdcViolations(const Graph& g, const Gdc& phi,
+}  // namespace
+
+bool SatisfiesGdcLiteral(const FrozenGraph& g, const Match& h,
+                         const GdcLiteral& l) {
+  return SatisfiesGdcLiteralT(g, h, l);
+}
+
+bool SatisfiesAllGdc(const FrozenGraph& g, const Match& h,
+                     const std::vector<GdcLiteral>& literals) {
+  return SatisfiesAllGdcT(g, h, literals);
+}
+
+bool SatisfiesAllGdc(const OverlayView& g, const Match& h,
+                     const std::vector<GdcLiteral>& literals) {
+  return SatisfiesAllGdcT(g, h, literals);
+}
+
+std::vector<Match> FindGdcViolations(const FrozenGraph& g, const Gdc& phi,
                                      uint64_t max_violations,
                                      const MatchOptions& base_options) {
   ScopedSpan span(base_options.obs.Trace(), "GdcScan", phi.name());
@@ -187,7 +212,7 @@ std::vector<Match> FindGdcViolations(const Graph& g, const Gdc& phi,
   return out;
 }
 
-bool ValidateGdcs(const Graph& g, const std::vector<Gdc>& sigma,
+bool ValidateGdcs(const FrozenGraph& g, const std::vector<Gdc>& sigma,
                   const MatchOptions& base_options) {
   ScopedSpan span(base_options.obs.Trace(), "GdcValidate",
                   base_options.obs.Trace() == nullptr

@@ -105,18 +105,23 @@ class Gdc {
 };
 
 /// h ⊨ l on a plain graph; attributes must exist on both sides.
-bool SatisfiesGdcLiteral(const Graph& g, const Match& h, const GdcLiteral& l);
-/// h ⊨ X.
-bool SatisfiesAllGdc(const Graph& g, const Match& h,
+bool SatisfiesGdcLiteral(const FrozenGraph& g, const Match& h,
+                         const GdcLiteral& l);
+/// h ⊨ X, on either read backend (graph/view.h).
+bool SatisfiesAllGdc(const FrozenGraph& g, const Match& h,
+                     const std::vector<GdcLiteral>& literals);
+bool SatisfiesAllGdc(const OverlayView& g, const Match& h,
                      const std::vector<GdcLiteral>& literals);
 
 /// All violating matches of φ in g (h ⊨ X, h ⊭ Y).
-std::vector<Match> FindGdcViolations(const Graph& g, const Gdc& phi,
+std::vector<Match> FindGdcViolations(const FrozenGraph& g, const Gdc& phi,
                                      uint64_t max_violations = 0,
                                      const MatchOptions& base_options = {});
 
 /// G ⊨ Σ for GDC sets (the validation problem stays coNP, Theorem 8(3)).
-bool ValidateGdcs(const Graph& g, const std::vector<Gdc>& sigma,
+/// Takes the snapshot a mutable graph is frozen into once per call
+/// (FrozenGraph::Freeze), not once per rule.
+bool ValidateGdcs(const FrozenGraph& g, const std::vector<Gdc>& sigma,
                   const MatchOptions& base_options = {});
 
 /// Parses rule blocks with predicate operators into GDCs.

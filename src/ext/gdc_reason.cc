@@ -345,9 +345,7 @@ void Enforce(GdcState* state, const Match& bm, const GdcLiteral& l) {
 }
 
 // The extended chase: fixpoint of entailment-gated enforcement.
-void GdcChase(const Graph& base, const std::vector<Gdc>& sigma,
-              GdcState* state) {
-  (void)base;
+void GdcChase(const std::vector<Gdc>& sigma, GdcState* state) {
   bool changed = true;
   int rounds = 0;
   while (changed && !state->conflict && rounds++ < 256) {
@@ -607,7 +605,8 @@ bool TryVerifiedModel(GdcState* state, const std::vector<Gdc>& sigma,
   for (bool tight : {false, true}) {
     GdcState copy = *state;
     auto model = BuildGdcModel(&copy, tight);
-    if (model.ok() && ValidateGdcs(model.value(), sigma)) {
+    if (model.ok() &&
+        ValidateGdcs(FrozenGraph::Freeze(model.value()), sigma)) {
       *out = model.Take();
       return true;
     }
@@ -621,7 +620,7 @@ GdcDecision CheckGdcSatisfiability(const std::vector<Gdc>& sigma) {
   GdcDecision out;
   Graph canonical = CanonicalGdcGraph(sigma);
   GdcState state(canonical);
-  GdcChase(canonical, sigma, &state);
+  GdcChase(sigma, &state);
   if (state.conflict) {
     out.decision = Decision::kNo;
     out.detail = "extended chase conflict: " + state.reason;
@@ -659,7 +658,7 @@ GdcDecision CheckGdcSatisfiability(const std::vector<Gdc>& sigma) {
       if (!dead) {
         Normalize(&branch);
         if (!branch.conflict) {
-          GdcChase(canonical, sigma, &branch);
+          GdcChase(sigma, &branch);
         }
         if (!branch.conflict && !branch.eq.inconsistent()) {
           Graph m;
@@ -706,7 +705,7 @@ GdcDecision CheckGdcImplication(const std::vector<Gdc>& sigma,
     out.detail = "X is unsatisfiable: " + state.reason;
     return out;
   }
-  GdcChase(gq, sigma, &state);
+  GdcChase(sigma, &state);
   if (state.conflict) {
     out.decision = Decision::kYes;
     out.detail = "chase of G_Q from Eq_X conflicts: " + state.reason;
@@ -734,7 +733,7 @@ GdcDecision CheckGdcImplication(const std::vector<Gdc>& sigma,
     GdcState copy = state;
     auto model = BuildGdcModel(&copy, tight);
     if (!model.ok()) continue;
-    const Graph& g = model.value();
+    const FrozenGraph g = FrozenGraph::Freeze(model.value());
     if (!ValidateGdcs(g, sigma)) continue;
     // The identity image of Q is a match in the model (same layout).
     Coercion co = BuildCoercion(copy.eq);

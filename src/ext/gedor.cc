@@ -55,7 +55,7 @@ std::string GedOr::ToString() const {
   return os.str();
 }
 
-bool SatisfiesDisjunction(const Graph& g, const Match& h,
+bool SatisfiesDisjunction(const FrozenGraph& g, const Match& h,
                           const std::vector<Literal>& disjuncts) {
   for (const Literal& l : disjuncts) {
     if (SatisfiesLiteral(g, h, l)) return true;
@@ -63,7 +63,7 @@ bool SatisfiesDisjunction(const Graph& g, const Match& h,
   return false;
 }
 
-std::vector<Match> FindGedOrViolations(const Graph& g, const GedOr& psi,
+std::vector<Match> FindGedOrViolations(const FrozenGraph& g, const GedOr& psi,
                                        uint64_t max_violations,
                                        const MatchOptions& base_options) {
   ScopedSpan span(base_options.obs.Trace(), "GedOrScan", psi.name());
@@ -82,7 +82,7 @@ std::vector<Match> FindGedOrViolations(const Graph& g, const GedOr& psi,
   return out;
 }
 
-bool ValidateGedOrs(const Graph& g, const std::vector<GedOr>& sigma,
+bool ValidateGedOrs(const FrozenGraph& g, const std::vector<GedOr>& sigma,
                     const MatchOptions& base_options) {
   ScopedSpan span(base_options.obs.Trace(), "GedOrValidate",
                   base_options.obs.Trace() == nullptr
@@ -176,7 +176,7 @@ GdcDecision CheckGedOrSatisfiability(const std::vector<GedOr>& sigma,
                                            max_states);
   for (const EqRel& leaf : chase.valid_leaves) {
     Graph model = InstantiateModel(leaf);
-    if (ValidateGedOrs(model, sigma)) {
+    if (ValidateGedOrs(FrozenGraph::Freeze(model), sigma)) {
       out.decision = Decision::kYes;
       out.detail = "verified model from a valid disjunctive-chase branch";
       out.witness = std::move(model);
@@ -226,12 +226,13 @@ GdcDecision CheckGedOrImplication(const std::vector<GedOr>& sigma,
     if (some) continue;
     // This leaf is a counter-model candidate; verify end to end.
     Graph model = InstantiateModel(leaf);
-    if (ValidateGedOrs(model, sigma)) {
+    const FrozenGraph frozen = FrozenGraph::Freeze(model);
+    if (ValidateGedOrs(frozen, sigma)) {
       Coercion co = BuildCoercion(leaf);
       Match image(gq.NumNodes());
       for (NodeId v = 0; v < gq.NumNodes(); ++v) image[v] = co.node_map[v];
-      if (SatisfiesAll(model, image, psi.X()) &&
-          !SatisfiesDisjunction(model, image, psi.Y())) {
+      if (SatisfiesAll(frozen, image, psi.X()) &&
+          !SatisfiesDisjunction(frozen, image, psi.Y())) {
         out.decision = Decision::kNo;
         out.detail = "verified counter-model from a chase leaf";
         out.witness = std::move(model);

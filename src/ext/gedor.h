@@ -57,16 +57,18 @@ class GedOr {
 };
 
 /// h ⊨ Y under disjunctive semantics (on a plain graph).
-bool SatisfiesDisjunction(const Graph& g, const Match& h,
+bool SatisfiesDisjunction(const FrozenGraph& g, const Match& h,
                           const std::vector<Literal>& disjuncts);
 
 /// All violating matches of ψ in g.
-std::vector<Match> FindGedOrViolations(const Graph& g, const GedOr& psi,
+std::vector<Match> FindGedOrViolations(const FrozenGraph& g, const GedOr& psi,
                                        uint64_t max_violations = 0,
                                        const MatchOptions& base_options = {});
 
-/// G ⊨ Σ for GED∨ sets (validation stays coNP, Theorem 9).
-bool ValidateGedOrs(const Graph& g, const std::vector<GedOr>& sigma,
+/// G ⊨ Σ for GED∨ sets (validation stays coNP, Theorem 9). Takes the
+/// snapshot a mutable graph is frozen into once per call
+/// (FrozenGraph::Freeze), not once per rule.
+bool ValidateGedOrs(const FrozenGraph& g, const std::vector<GedOr>& sigma,
                     const MatchOptions& base_options = {});
 
 /// Result of a disjunctive chase.

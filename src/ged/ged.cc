@@ -114,34 +114,4 @@ Ged MakeGkey(std::string name, const Pattern& half, VarId x0,
   return Ged(std::move(name), std::move(doubled), std::move(x), std::move(y));
 }
 
-std::vector<Match> FindViolations(const Graph& g, const Ged& phi,
-                                  uint64_t max_violations,
-                                  const MatchOptions& base_options) {
-  std::vector<Match> out;
-  MatchOptions opts = base_options;
-  EnumerateMatches(phi.pattern(), g, opts, [&](const Match& h) {
-    if (!SatisfiesAll(g, h, phi.X())) return true;
-    bool y_ok = !phi.is_forbidding() && SatisfiesAll(g, h, phi.Y());
-    if (!y_ok) {
-      out.push_back(h);
-      if (max_violations != 0 && out.size() >= max_violations) return false;
-    }
-    return true;
-  });
-  return out;
-}
-
-bool Satisfies(const Graph& g, const Ged& phi,
-               const MatchOptions& base_options) {
-  return FindViolations(g, phi, /*max_violations=*/1, base_options).empty();
-}
-
-bool SatisfiesAllGeds(const Graph& g, const std::vector<Ged>& sigma,
-                      const MatchOptions& base_options) {
-  for (const Ged& phi : sigma) {
-    if (!Satisfies(g, phi, base_options)) return false;
-  }
-  return true;
-}
-
 }  // namespace ged

@@ -12,6 +12,8 @@
 //   * GEDx  — no constant literals;
 //   * GFDx  — neither constant nor id literals (plain "FDs for graphs");
 //   * forbidding GED — Y = false (limited negation).
+//
+// Checking G ⊨ Σ is Validate (reason/validation.h).
 
 #ifndef GEDLIB_GED_GED_H_
 #define GEDLIB_GED_GED_H_
@@ -85,20 +87,6 @@ class Ged {
 /// which receives the bijection f as the variable offset of the copy.
 Ged MakeGkey(std::string name, const Pattern& half, VarId x0,
              const std::function<std::vector<Literal>(VarId offset)>& make_x);
-
-/// Returns all matches h of φ's pattern in `g` that violate φ, i.e.
-/// h ⊨ X but h ⊭ Y (up to `max_violations`; 0 = unlimited).
-std::vector<Match> FindViolations(const Graph& g, const Ged& phi,
-                                  uint64_t max_violations = 0,
-                                  const MatchOptions& base_options = {});
-
-/// G ⊨ φ (no violating match).
-bool Satisfies(const Graph& g, const Ged& phi,
-               const MatchOptions& base_options = {});
-
-/// G ⊨ Σ (every GED satisfied).
-bool SatisfiesAllGeds(const Graph& g, const std::vector<Ged>& sigma,
-                      const MatchOptions& base_options = {});
 
 }  // namespace ged
 

@@ -1,7 +1,9 @@
 #include "ged/literal.h"
 
 #include <sstream>
+
 #include "graph/overlay.h"
+#include "graph/view.h"
 
 namespace ged {
 
@@ -37,9 +39,9 @@ std::string Literal::ToString() const { return Render(nullptr, *this); }
 
 namespace {
 
-// Shared across backends: only attribute lookup differs (tuple scan on
-// Graph, columnar binary search on FrozenGraph), and `attr` abstracts it.
-template <typename GView>
+// Shared across backends: only attribute lookup differs (columnar binary
+// search on FrozenGraph, the side index first on OverlayView).
+template <GraphView GView>
 bool SatisfiesLiteralT(const GView& g, const Match& h, const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kConst: {
@@ -57,7 +59,7 @@ bool SatisfiesLiteralT(const GView& g, const Match& h, const Literal& l) {
   return false;
 }
 
-template <typename GView>
+template <GraphView GView>
 bool SatisfiesAllT(const GView& g, const Match& h,
                    const std::vector<Literal>& literals) {
   for (const Literal& l : literals) {
@@ -68,21 +70,12 @@ bool SatisfiesAllT(const GView& g, const Match& h,
 
 }  // namespace
 
-bool SatisfiesLiteral(const Graph& g, const Match& h, const Literal& l) {
-  return SatisfiesLiteralT(g, h, l);
-}
-
 bool SatisfiesLiteral(const FrozenGraph& g, const Match& h, const Literal& l) {
   return SatisfiesLiteralT(g, h, l);
 }
 
 bool SatisfiesLiteral(const OverlayView& g, const Match& h, const Literal& l) {
   return SatisfiesLiteralT(g, h, l);
-}
-
-bool SatisfiesAll(const Graph& g, const Match& h,
-                  const std::vector<Literal>& literals) {
-  return SatisfiesAllT(g, h, literals);
 }
 
 bool SatisfiesAll(const FrozenGraph& g, const Match& h,

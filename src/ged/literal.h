@@ -84,15 +84,11 @@ struct Literal {
 ///  * x.A = c   — attribute h(x).A exists and equals c;
 ///  * x.A = y.B — both attributes exist and are equal;
 ///  * x.id = y.id — h(x) and h(y) are the same node.
-/// Overloaded for both read backends (the FrozenGraph overload reads the
-/// snapshot's columnar attribute storage).
-bool SatisfiesLiteral(const Graph& g, const Match& h, const Literal& l);
+/// Overloaded for both read backends (graph/view.h).
 bool SatisfiesLiteral(const FrozenGraph& g, const Match& h, const Literal& l);
 bool SatisfiesLiteral(const OverlayView& g, const Match& h, const Literal& l);
 
 /// h(x̄) ⊨ X: all literals hold (trivially true for empty X).
-bool SatisfiesAll(const Graph& g, const Match& h,
-                  const std::vector<Literal>& literals);
 bool SatisfiesAll(const FrozenGraph& g, const Match& h,
                   const std::vector<Literal>& literals);
 bool SatisfiesAll(const OverlayView& g, const Match& h,

@@ -2,17 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/view.h"
-
 namespace ged {
-
-// Signature drift in FrozenGraph must break the build, not silently drop
-// the matcher into its filter-and-collect fallback (HasLabelRanges is
-// detected with a requires-expression inside `if constexpr` — a mismatch
-// would compile fine and only kill performance).
-static_assert(GraphView<FrozenGraph>);
-static_assert(HasLabelRanges<FrozenGraph>);
-static_assert(HasNeighborSpans<FrozenGraph>);
 
 namespace {
 
@@ -23,9 +13,10 @@ namespace {
 // while both halves are 32-bit.
 static_assert(sizeof(Label) == 4 && sizeof(NodeId) == 4,
               "PackEdge packs (label, other) into one uint64");
-inline uint64_t PackEdge(const Edge& e) {
-  return (uint64_t{e.label} << 32) | e.other;
+inline uint64_t PackEdge(Label label, NodeId other) {
+  return (uint64_t{label} << 32) | other;
 }
+inline uint64_t PackEdge(const Edge& e) { return PackEdge(e.label, e.other); }
 inline Edge UnpackEdge(uint64_t key) {
   return Edge{static_cast<Label>(key >> 32), static_cast<NodeId>(key)};
 }
@@ -56,38 +47,72 @@ void SortRanges(std::vector<uint64_t>* keys,
   }
 }
 
-// Gathers one adjacency direction into packed-key CSR form, plus the
-// columnar neighbor-id copy (nbrs[i] == edges[i].other) the intersection
-// kernel strides over.
-void GatherAdjacency(const Graph& g, bool out_dir,
-                     std::vector<uint64_t>* offsets,
-                     std::vector<Edge>* edges, std::vector<NodeId>* nbrs) {
-  const size_t n = g.NumNodes();
+// The CSR construction core: builds one adjacency direction of n nodes.
+// `count(v)` is the number of packed keys `gather(v, out)` writes for node
+// v (returning the end of what it wrote). Each node's keys are sorted and
+// duplicates dropped — a no-op for a Graph, whose E is a set, and what
+// collapses parallel edges in a quotient. Also fills the columnar
+// neighbor-id copy (nbrs[i] == edges[i].other) the intersection kernel
+// strides over.
+template <typename Count, typename Gather>
+void BuildAdjacency(size_t n, const Count& count, const Gather& gather,
+                    std::vector<uint64_t>* offsets, std::vector<Edge>* edges,
+                    std::vector<NodeId>* nbrs) {
   offsets->resize(n + 1);
   (*offsets)[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    (*offsets)[v + 1] =
-        (*offsets)[v] + (out_dir ? g.OutDegree(v) : g.InDegree(v));
-  }
+  for (NodeId v = 0; v < n; ++v) (*offsets)[v + 1] = (*offsets)[v] + count(v);
   std::vector<uint64_t> keys((*offsets)[n]);
   uint64_t* kp = keys.data();
-  for (NodeId v = 0; v < n; ++v) {
-    for (const Edge& e : out_dir ? g.out(v) : g.in(v)) {
-      *kp++ = PackEdge(e);
-    }
-  }
+  for (NodeId v = 0; v < n; ++v) kp = gather(v, kp);
   SortRanges(&keys, *offsets, n);
   edges->resize(keys.size());
   nbrs->resize(keys.size());
-  Edge* ep = edges->data();
-  NodeId* np = nbrs->data();
-  for (uint64_t k : keys) {
-    *ep++ = UnpackEdge(k);
-    *np++ = static_cast<NodeId>(k);  // low half of the packed key
+  size_t write = 0;
+  size_t read = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const size_t begin = read;
+    const size_t end = (*offsets)[v + 1];
+    (*offsets)[v] = write;
+    for (; read < end; ++read) {
+      const uint64_t k = keys[read];
+      if (read > begin && keys[read - 1] == k) continue;
+      (*edges)[write] = UnpackEdge(k);
+      (*nbrs)[write] = static_cast<NodeId>(k);  // low half of the packed key
+      ++write;
+    }
   }
+  (*offsets)[n] = write;
+  edges->resize(write);
+  nbrs->resize(write);
 }
 
 }  // namespace
+
+void FrozenGraph::BuildLabelIndex() {
+  // Grouped node lists in increasing label, then id, order. Labels are
+  // dense interned symbols, so counting with a direct-indexed array beats
+  // any associative container.
+  const size_t n = labels_.size();
+  Label max_label = 0;
+  for (Label l : labels_) max_label = std::max(max_label, l);
+  std::vector<uint64_t> counts(n == 0 ? 0 : size_t{max_label} + 1, 0);
+  for (Label l : labels_) ++counts[l];
+  std::vector<uint32_t> slot_of(counts.size());
+  label_keys_.clear();
+  label_offsets_.assign(1, 0);
+  for (size_t l = 0; l < counts.size(); ++l) {
+    if (counts[l] == 0) continue;
+    slot_of[l] = static_cast<uint32_t>(label_keys_.size());
+    label_keys_.push_back(static_cast<Label>(l));
+    label_offsets_.push_back(label_offsets_.back() + counts[l]);
+  }
+  label_nodes_.resize(n);
+  std::vector<uint64_t> cursor(label_offsets_.begin(),
+                               label_offsets_.end() - 1);
+  for (NodeId v = 0; v < n; ++v) {
+    label_nodes_[cursor[slot_of[labels_[v]]]++] = v;
+  }
+}
 
 FrozenGraph FrozenGraph::Freeze(const Graph& g) {
   return Freeze(g, ObsOptions{});
@@ -106,35 +131,22 @@ FrozenGraph FrozenGraph::Freeze(const Graph& g, const ObsOptions& obs) {
 
   {
     ScopedSpan adj_span(obs.Trace(), "Freeze.Adjacency");
-    GatherAdjacency(g, /*out_dir=*/true, &f.out_offsets_, &f.out_edges_,
-                    &f.out_nbrs_);
-    GatherAdjacency(g, /*out_dir=*/false, &f.in_offsets_, &f.in_edges_,
-                    &f.in_nbrs_);
+    auto gather = [](const std::vector<Edge>& edges, uint64_t* kp) {
+      for (const Edge& e : edges) *kp++ = PackEdge(e);
+      return kp;
+    };
+    BuildAdjacency(
+        n, [&](NodeId v) { return g.OutDegree(v); },
+        [&](NodeId v, uint64_t* kp) { return gather(g.out(v), kp); },
+        &f.out_offsets_, &f.out_edges_, &f.out_nbrs_);
+    BuildAdjacency(
+        n, [&](NodeId v) { return g.InDegree(v); },
+        [&](NodeId v, uint64_t* kp) { return gather(g.in(v), kp); },
+        &f.in_offsets_, &f.in_edges_, &f.in_nbrs_);
   }
 
   ScopedSpan index_span(obs.Trace(), "Freeze.Indexes");
-  // Dense label index: grouped node lists in increasing label, then id,
-  // order (Graph's per-label insertion order is already increasing id).
-  // Labels are dense interned symbols, so counting with a direct-indexed
-  // array beats any associative container.
-  Label max_label = 0;
-  for (Label l : f.labels_) max_label = std::max(max_label, l);
-  std::vector<uint64_t> counts(n == 0 ? 0 : size_t{max_label} + 1, 0);
-  for (Label l : f.labels_) ++counts[l];
-  std::vector<uint32_t> slot_of(counts.size());
-  f.label_offsets_.push_back(0);
-  for (size_t l = 0; l < counts.size(); ++l) {
-    if (counts[l] == 0) continue;
-    slot_of[l] = static_cast<uint32_t>(f.label_keys_.size());
-    f.label_keys_.push_back(static_cast<Label>(l));
-    f.label_offsets_.push_back(f.label_offsets_.back() + counts[l]);
-  }
-  f.label_nodes_.resize(n);
-  std::vector<uint64_t> cursor(f.label_offsets_.begin(),
-                               f.label_offsets_.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    f.label_nodes_[cursor[slot_of[f.labels_[v]]]++] = v;
-  }
+  f.BuildLabelIndex();
 
   // Columnar attributes: Graph stores each node's tuple sorted by AttrId
   // already, so the copy preserves the binary-search invariant.
@@ -158,6 +170,60 @@ FrozenGraph FrozenGraph::Freeze(const Graph& g, const ObsOptions& obs) {
     metrics->Inc(EngineMetric::kFreezeEdges, f.NumEdges());
   }
   if (profiler != nullptr) profiler->AddFreezeNs(MonotonicNowNs() - start_ns);
+  return f;
+}
+
+FrozenGraph FrozenGraph::FreezeQuotient(const Graph& g,
+                                        std::span<const NodeId> node_map,
+                                        std::vector<Label> labels,
+                                        ColumnarAttrs attrs) {
+  FrozenGraph f;
+  const size_t n = labels.size();
+  f.labels_ = std::move(labels);
+  // Members of each quotient node, grouped by a counting sort of node_map.
+  std::vector<uint64_t> member_offsets(n + 1, 0);
+  for (NodeId q : node_map) ++member_offsets[q + 1];
+  for (size_t q = 0; q < n; ++q) member_offsets[q + 1] += member_offsets[q];
+  std::vector<NodeId> members(node_map.size());
+  {
+    std::vector<uint64_t> cursor(member_offsets.begin(),
+                                 member_offsets.end() - 1);
+    for (NodeId v = 0; v < node_map.size(); ++v) {
+      members[cursor[node_map[v]]++] = v;
+    }
+  }
+  auto class_of = [&](NodeId q) {
+    return std::span<const NodeId>(members.data() + member_offsets[q],
+                                   members.data() + member_offsets[q + 1]);
+  };
+  auto build = [&](bool out_dir, std::vector<uint64_t>* offsets,
+                   std::vector<Edge>* edges, std::vector<NodeId>* nbrs) {
+    BuildAdjacency(
+        n,
+        [&](NodeId q) {
+          size_t d = 0;
+          for (NodeId v : class_of(q)) {
+            d += out_dir ? g.OutDegree(v) : g.InDegree(v);
+          }
+          return d;
+        },
+        [&](NodeId q, uint64_t* kp) {
+          for (NodeId v : class_of(q)) {
+            for (const Edge& e : out_dir ? g.out(v) : g.in(v)) {
+              *kp++ = PackEdge(e.label, node_map[e.other]);
+            }
+          }
+          return kp;
+        },
+        offsets, edges, nbrs);
+  };
+  build(/*out_dir=*/true, &f.out_offsets_, &f.out_edges_, &f.out_nbrs_);
+  build(/*out_dir=*/false, &f.in_offsets_, &f.in_edges_, &f.in_nbrs_);
+  f.BuildLabelIndex();
+  if (attrs.offsets.empty()) attrs.offsets.assign(n + 1, 0);
+  f.attr_offsets_ = std::move(attrs.offsets);
+  f.attr_keys_ = std::move(attrs.keys);
+  f.attr_values_ = std::move(attrs.values);
   return f;
 }
 

@@ -1,11 +1,10 @@
 // FrozenGraph: an immutable, read-optimized snapshot of a Graph.
 //
-// The mutable Graph (graph/graph.h) serves reads through per-node
-// heap-allocated adjacency vectors, a global hash set for HasEdge, and a
-// hash-map label index — the right shape for ingest and for the listener
-// hooks of incr/, but hostile to the cache-bound scans that dominate
-// homomorphism matching over large, mostly-static snapshots. Freezing
-// compiles the graph into compressed-sparse-row (CSR) form:
+// The mutable Graph (graph/graph.h) stores per-node heap-allocated
+// adjacency vectors and a global hash set for edge dedup — the right shape
+// for ingest and for the listener hooks of incr/, but hostile to the
+// cache-bound scans that dominate homomorphism matching. Freezing compiles
+// the graph into compressed-sparse-row (CSR) form:
 //
 //   * out/in adjacency      — one offset array + one contiguous Edge array
 //                             per direction; each node's range is sorted by
@@ -21,14 +20,19 @@
 //                             (attr() is a binary search over contiguous
 //                             keys).
 //
-// Node ids, labels, edge multiset and attribute tuples are preserved
-// exactly, so matches and violation reports computed against the snapshot
-// are bit-identical to those computed against the source graph (pinned by
-// tests/frozen_equivalence_test.cc). A FrozenGraph is deeply immutable and
-// therefore safe to share across threads without synchronization — it is
-// the unit of parallel fan-out in reason/validation.cc
-// (ExecutionPolicy::snapshot) and the intended unit of sharding,
-// caching and concurrent serving.
+// Node ids, labels, edge set and attribute tuples are preserved exactly, so
+// a snapshot is the same graph as its source (tests/frozen_equivalence_test
+// checks reports on it against the reference validator, which reads the
+// source Graph). Every engine read — matching, validation, the chase —
+// runs on a FrozenGraph or on an OverlayView over one; Validate(Graph)
+// freezes once per call. A FrozenGraph is deeply immutable and therefore
+// safe to share across threads without synchronization — it is the unit of
+// parallel fan-out in reason/validation.cc and the intended unit of
+// sharding, caching and concurrent serving.
+//
+// FreezeQuotient builds the snapshot of a quotient of a Graph — the chase's
+// coercion G_Eq (chase/chase.h) — through the same CSR construction, with no
+// intermediate mutable quotient.
 
 #ifndef GEDLIB_GRAPH_FROZEN_H_
 #define GEDLIB_GRAPH_FROZEN_H_
@@ -61,13 +65,32 @@ class FrozenGraph {
   /// this exactly Freeze(g).
   static FrozenGraph Freeze(const Graph& g, const ObsOptions& obs);
 
+  /// Node attributes in the columnar layout a snapshot stores: node v's
+  /// tuple is keys/values [offsets[v], offsets[v + 1]), keys ascending
+  /// within a node. Empty offsets = no node has attributes.
+  struct ColumnarAttrs {
+    std::vector<uint64_t> offsets;
+    std::vector<AttrId> keys;
+    std::vector<Value> values;
+  };
+
+  /// Compiles the quotient of `g` under `node_map` straight into CSR form:
+  /// node v of `g` becomes node node_map[v] (< labels.size()), labelled
+  /// labels[node_map[v]]; edges of `g` that collapse onto one
+  /// (src, label, dst) triple are kept once. `attrs` holds the quotient
+  /// nodes' attribute tuples. Shares the CSR construction of Freeze(g).
+  static FrozenGraph FreezeQuotient(const Graph& g,
+                                    std::span<const NodeId> node_map,
+                                    std::vector<Label> labels,
+                                    ColumnarAttrs attrs = {});
+
   /// Compacts an overlay (graph/overlay.h) into a fresh standalone CSR
   /// snapshot — the re-freeze step of the incremental serving loop. O(|V| +
   /// |E| + |A|) with no sort phase: overlay adjacency and attribute spans
   /// are already in CSR order. Defined in graph/overlay.cc.
   static FrozenGraph Freeze(const OverlayView& o, const ObsOptions& obs = {});
 
-  // ----- inspection (mirrors Graph's read surface) ---------------------
+  // ----- inspection (the GraphView read surface, graph/view.h) -----------
 
   size_t NumNodes() const { return labels_.size(); }
   size_t NumEdges() const { return out_edges_.size(); }
@@ -152,6 +175,9 @@ class FrozenGraph {
   }
 
  private:
+  // Fills the dense label index from labels_ (every construction path).
+  void BuildLabelIndex();
+
   // The (label, other) sub-range of a sorted adjacency span.
   static std::span<const Edge> LabelRange(std::span<const Edge> edges,
                                           Label label);

@@ -12,8 +12,7 @@ Graph::Graph(const Graph& other)
       out_(other.out_),
       in_(other.in_),
       edge_set_(other.edge_set_),
-      num_edges_(other.num_edges_),
-      label_index_(other.label_index_) {}
+      num_edges_(other.num_edges_) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
@@ -23,7 +22,6 @@ Graph& Graph::operator=(const Graph& other) {
   in_ = other.in_;
   edge_set_ = other.edge_set_;
   num_edges_ = other.num_edges_;
-  label_index_ = other.label_index_;
   // listeners_ intentionally untouched: they observe this instance.
   return *this;
 }
@@ -34,8 +32,7 @@ Graph::Graph(Graph&& other) noexcept
       out_(std::move(other.out_)),
       in_(std::move(other.in_)),
       edge_set_(std::move(other.edge_set_)),
-      num_edges_(other.num_edges_),
-      label_index_(std::move(other.label_index_)) {
+      num_edges_(other.num_edges_) {
   // listeners_ not transferred: they were registered on `other`.
   other.num_edges_ = 0;
 }
@@ -48,7 +45,6 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   in_ = std::move(other.in_);
   edge_set_ = std::move(other.edge_set_);
   num_edges_ = other.num_edges_;
-  label_index_ = std::move(other.label_index_);
   other.num_edges_ = 0;
   // listeners_ intentionally untouched: they observe this instance.
   return *this;
@@ -68,7 +64,6 @@ NodeId Graph::AddNode(Label label) {
   attrs_.emplace_back();
   out_.emplace_back();
   in_.emplace_back();
-  label_index_[label].push_back(id);
   // Index-based loop: a listener may unregister (itself or others) from
   // inside the callback; bounds are re-checked each step so mutation of the
   // registry never invalidates the traversal.
@@ -121,12 +116,6 @@ bool Graph::HasEdge(NodeId src, Label label, NodeId dst) const {
     if (e.other == dst) return true;
   }
   return false;
-}
-
-const std::vector<NodeId>& Graph::NodesWithLabel(Label label) const {
-  static const std::vector<NodeId> kEmpty;
-  auto it = label_index_.find(label);
-  return it == label_index_.end() ? kEmpty : it->second;
 }
 
 void Graph::AddListener(GraphListener* listener) {

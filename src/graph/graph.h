@@ -8,8 +8,10 @@
 //             every node additionally has its immutable id (the node id).
 //
 // Graphs are schemaless: an attribute may exist on some nodes and not on
-// others. The structure maintains label and adjacency indexes used by the
-// homomorphism matcher.
+// others. Graph is the build structure — ingest, GraphDelta, IO and the
+// test oracles write and read it. Every engine read (matching, validation,
+// the chase) runs on a FrozenGraph snapshot of it (graph/frozen.h) or on an
+// OverlayView (graph/overlay.h).
 
 #ifndef GEDLIB_GRAPH_GRAPH_H_
 #define GEDLIB_GRAPH_GRAPH_H_
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -73,7 +74,7 @@ class GraphListener {
   virtual void OnAttrSet(NodeId /*v*/, AttrId /*attr*/) {}
 };
 
-/// A mutable property graph with adjacency and label indexes.
+/// A mutable property graph with per-node adjacency lists.
 class Graph {
  public:
   Graph() = default;
@@ -146,20 +147,6 @@ class Graph {
   /// test for any label.
   bool HasEdge(NodeId src, Label label, NodeId dst) const;
 
-  /// All nodes whose label is exactly `label`, in insertion order. For a
-  /// label with no nodes, returns a reference to a stable shared empty
-  /// vector; the call never mutates the index (safe to race with other
-  /// readers). The index is maintained eagerly by AddNode, so references
-  /// returned for a *present* label stay valid across AddEdge/SetAttr and
-  /// grow in place across AddNode.
-  const std::vector<NodeId>& NodesWithLabel(Label label) const;
-  /// Label-index selectivity statistic: how many nodes a pattern variable
-  /// with label ≼-matches (wildcard matches every node). The ruleset
-  /// compiler in plan/ orders and pins enumeration variables by this count;
-  /// the matcher uses it for its candidate estimates.
-  size_t CandidateCount(Label label) const {
-    return label == kWildcard ? NumNodes() : NodesWithLabel(label).size();
-  }
   /// Out-degree / in-degree of v.
   size_t OutDegree(NodeId v) const { return out_[v].size(); }
   size_t InDegree(NodeId v) const { return in_[v].size(); }
@@ -206,10 +193,6 @@ class Graph {
   // Dedup set for edges (E is a set of triples).
   std::unordered_set<EdgeKey, EdgeKeyHash> edge_set_;
   size_t num_edges_ = 0;
-  // Label index, maintained eagerly by AddNode so const accessors never
-  // mutate it (lazy rebuilds from NodesWithLabel raced under the parallel
-  // validator and could dangle references across mutations).
-  std::unordered_map<Label, std::vector<NodeId>> label_index_;
   // Mutation observers (never copied with the graph).
   std::vector<GraphListener*> listeners_;
 };

@@ -2,16 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/view.h"
-
 namespace ged {
-
-// OverlayView must satisfy the full read surface including the columnar
-// neighbor spans — a signature drift would silently drop overlay scans into
-// the matcher's filter-and-collect fallback (see frozen.cc).
-static_assert(GraphView<OverlayView>);
-static_assert(HasLabelRanges<OverlayView>);
-static_assert(HasNeighborSpans<OverlayView>);
 
 namespace {
 
@@ -220,26 +211,7 @@ FrozenGraph FrozenGraph::Freeze(const OverlayView& o, const ObsOptions& obs) {
   }
 
   ScopedSpan index_span(obs.Trace(), "Freeze.Indexes");
-  // Dense label index, same direct-indexed counting as Freeze(Graph); the
-  // ascending node-id fill keeps each per-label list sorted.
-  Label max_label = 0;
-  for (Label l : f.labels_) max_label = std::max(max_label, l);
-  std::vector<uint64_t> counts(n == 0 ? 0 : size_t{max_label} + 1, 0);
-  for (Label l : f.labels_) ++counts[l];
-  std::vector<uint32_t> slot_of(counts.size());
-  f.label_offsets_.push_back(0);
-  for (size_t l = 0; l < counts.size(); ++l) {
-    if (counts[l] == 0) continue;
-    slot_of[l] = static_cast<uint32_t>(f.label_keys_.size());
-    f.label_keys_.push_back(static_cast<Label>(l));
-    f.label_offsets_.push_back(f.label_offsets_.back() + counts[l]);
-  }
-  f.label_nodes_.resize(n);
-  std::vector<uint64_t> cursor(f.label_offsets_.begin(),
-                               f.label_offsets_.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    f.label_nodes_[cursor[slot_of[f.labels_[v]]]++] = v;
-  }
+  f.BuildLabelIndex();
 
   // Columnar attributes: overlay tuples are sorted by AttrId (base ranges
   // by the freeze invariant, side copies by sorted insertion).

@@ -1,11 +1,10 @@
 // OverlayView: a frozen CSR base plus a small mutable delta side-index.
 //
-// Incremental serving wants both of the things the two existing backends
-// trade against each other: the mutable Graph absorbs deltas cheaply but
-// serves reads through hash indexes and unsorted per-node vectors (no
-// HasLabelRanges / HasNeighborSpans, so PR 3's range scans and PR 5's
-// leapfrog intersection never engage), while FrozenGraph serves the fast
-// sorted/columnar read surface but is immutable. OverlayView is the LSM-style
+// Incremental serving wants both of the things the mutable Graph and
+// FrozenGraph trade against each other: the mutable Graph absorbs deltas
+// cheaply but serves no sorted label ranges or neighbor spans (so it is no
+// matcher backend at all), while FrozenGraph serves the fast sorted/columnar
+// read surface but is immutable. OverlayView is the LSM-style
 // middle ground: an immutable FrozenGraph base (shared, epoch-pinned) plus a
 // per-node copy-on-write side index.
 //
@@ -19,10 +18,10 @@
 //     contiguous sorted span and the leapfrog kernel runs on it unchanged.
 //   * The label index and attribute tuples copy-on-write the same way.
 //
-// OverlayView therefore satisfies GraphView, HasLabelRanges and
-// HasNeighborSpans literally (no new concepts, no merged-cursor iterators),
-// so the matcher, RulesetPlan execution, ValidateTouching and
-// FindViolationsSeededByEdges run on it unchanged as a third backend.
+// OverlayView therefore satisfies GraphView (graph/view.h) literally, label
+// ranges and neighbor spans included (no merged-cursor iterators), so the
+// matcher, RulesetPlan execution, ValidateTouching and
+// FindViolationsSeededByEdges run on it unchanged as the second backend.
 //
 // The side index grows with the applied deltas; once DeltaWeight() passes a
 // cutoff the owner re-freezes (FrozenGraph::Freeze(overlay) — O(|V|+|E|),
@@ -122,7 +121,7 @@ class OverlayView {
   size_t OutDegree(NodeId v) const { return out(v).size(); }
   size_t InDegree(NodeId v) const { return in(v).size(); }
 
-  // ----- HasLabelRanges -------------------------------------------------
+  // ----- label ranges (GraphView) ----------------------------------------
 
   std::span<const Edge> OutEdgesLabeled(NodeId v, Label label) const {
     return label == kWildcard ? out(v) : LabelRange(out(v), label);
@@ -139,7 +138,7 @@ class OverlayView {
                               : !LabelRange(in(v), label).empty();
   }
 
-  // ----- HasNeighborSpans -----------------------------------------------
+  // ----- neighbor spans (GraphView) --------------------------------------
 
   /// Columnar neighbor ids of the labeled sub-range (see FrozenGraph).
   /// Sorted and duplicate-free for a concrete label — leapfrog input shape.

@@ -19,9 +19,7 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
   // never be reconciled exactly, so the defense budget is full-validation
   // only.
   options_.max_steps_per_scan = 0;
-  if (Status s = ValidateExecutionPolicy(options_.policy,
-                                         ExecutionSurface::kIncremental);
-      !s.ok()) {
+  if (Status s = ValidateExecutionPolicy(options_.policy); !s.ok()) {
     // The constructor cannot report failure, so degrade to the nearest
     // valid policy instead of silently running an inert configuration;
     // Create() is the entry point that rejects with this Status.
@@ -39,7 +37,9 @@ IncrementalValidator::IncrementalValidator(Graph g, std::vector<Ged> sigma,
                              FrozenGraph::Freeze(graph_, options_.obs)),
                          /*epoch=*/0);
   OpenWal();
-  report_ = RevalidateFull();
+  // Seed from the base just frozen (a snapshot of graph_); RevalidateFull
+  // would freeze graph_ a second time.
+  report_ = ValidateWithPlan(*overlay_.base(), plan_, options_);
 }
 
 void IncrementalValidator::OpenWal() {
@@ -74,8 +74,7 @@ void IncrementalValidator::MirrorWalMetrics() {
 
 Result<std::unique_ptr<IncrementalValidator>> IncrementalValidator::Create(
     Graph g, std::vector<Ged> sigma, ValidationOptions options) {
-  Status s =
-      ValidateExecutionPolicy(options.policy, ExecutionSurface::kIncremental);
+  Status s = ValidateExecutionPolicy(options.policy);
   if (!s.ok()) return s;
   auto v = std::make_unique<IncrementalValidator>(std::move(g),
                                                   std::move(sigma),

@@ -17,7 +17,9 @@
 // (graph/overlay.h) — a frozen CSR base plus a small copy-on-write side
 // index — and runs all commit re-scans on the overlay. Commits therefore
 // get the CSR label ranges and the leapfrog intersection (JoinStrategy)
-// exactly like full validation, without a per-commit re-freeze. Once the
+// exactly like full validation, without a per-commit re-freeze. The
+// overlay's first base is the one freeze of the graph, and the seeding
+// full validation reads it. Once the
 // side index outweighs ValidationOptions::overlay_refreeze_cutoff, a
 // background thread compacts the overlay into a fresh FrozenGraph base
 // (FrozenGraph::Freeze(overlay) — no sort, overlay spans are already CSR-
@@ -60,14 +62,15 @@ namespace ged {
 /// Maintains G ⊨ Σ under append-only deltas.
 class IncrementalValidator {
  public:
-  /// Takes ownership of `g` and Σ and runs one full Validate() to seed the
-  /// report. `options.max_violations_per_ged` is forced to 0 (a truncated
-  /// report cannot be maintained exactly); the other knobs (threads,
-  /// semantics, the execution policy) apply to the initial pass and every
-  /// commit. If the policy is invalid for the incremental surface, the
-  /// constructor degrades it to the nearest valid policy (join/kernel
-  /// back to kAuto) and logs an `invalid_execution_policy`
-  /// structured-log error — use Create() to get the hard rejection.
+  /// Takes ownership of `g` and Σ, freezes `g` once into the overlay base
+  /// and runs one full Validate() of that base to seed the report.
+  /// `options.max_violations_per_ged` is forced to 0 (a truncated report
+  /// cannot be maintained exactly); the other knobs (threads, semantics,
+  /// the execution policy) apply to the initial pass and every commit. If
+  /// the policy is invalid, the constructor degrades it to the nearest
+  /// valid policy (join/kernel back to kAuto) and logs an
+  /// `invalid_execution_policy` structured-log error — use Create() to get
+  /// the hard rejection.
   IncrementalValidator(Graph g, std::vector<Ged> sigma,
                        ValidationOptions options = {});
 
@@ -118,7 +121,7 @@ class IncrementalValidator {
   const RulesetPlan& plan() const { return plan_; }
   /// The execution policy the validator runs under, invalid combinations
   /// degraded (see the constructor note). Always passes
-  /// ValidateExecutionPolicy for the incremental surface.
+  /// ValidateExecutionPolicy.
   const ExecutionPolicy& policy() const { return options_.policy; }
   /// The live report: always equal to Validate(graph(), sigma()) with the
   /// same options. `matches_checked` is cumulative across the initial pass

@@ -53,23 +53,16 @@ SearchScratch& TlsScratch() {
   return scratch;
 }
 
-// The backtracking search, templated over the read backend. The mutable
-// Graph and the FrozenGraph CSR snapshot share all control flow; where the
-// backend provides label-contiguous sorted adjacency (HasLabelRanges), the
-// candidate generator and the degree filter upgrade from filter-and-collect
-// scans to range extraction and binary search. Where it additionally
-// provides columnar neighbor-id spans (HasNeighborSpans) and
-// options.join is not kPickSmallest, candidate generation upgrades once more
-// to the worst-case-optimal k-way leapfrog intersection of *every* sorted
-// list constraining the variable, with per-depth variable selection driven
-// by the intersected-range cardinalities.
+// The backtracking search, templated over the read backend (FrozenGraph or
+// OverlayView). Both serve label-contiguous sorted adjacency, so candidate
+// generation extracts ranges and the degree filter binary-searches. Unless
+// options.join is kPickSmallest, candidates come from the worst-case-optimal
+// k-way leapfrog intersection of *every* sorted list constraining the
+// variable, with per-depth variable selection driven by the
+// intersected-range cardinalities.
 template <GraphView GView>
 class Search {
  public:
-  // Columnar sorted neighbor spans are what the leapfrog kernel strides
-  // over; without them (mutable Graph) the intersection path cannot engage.
-  static constexpr bool kIntersectable = HasNeighborSpans<GView>;
-
   Search(const Pattern& q, const GView& g, const MatchOptions& opts,
          const MatchCallback& cb)
       : q_(q),
@@ -163,9 +156,7 @@ class Search {
     }
     BuildOrder();
     if (cand_bufs_.size() < order_.size()) cand_bufs_.resize(order_.size());
-    if constexpr (kIntersectable) {
-      if (list_bufs_.size() < order_.size()) list_bufs_.resize(order_.size());
-    }
+    if (list_bufs_.size() < order_.size()) list_bufs_.resize(order_.size());
     // Pre-size the per-depth stats so hot sites index depths[] directly.
     if (prof_ != nullptr && !order_.empty()) {
       prof_->Depth(order_.size() - 1);
@@ -361,39 +352,16 @@ class Search {
 
   // Per-label degree filter: can v's adjacency cover every concrete label
   // among x's pattern edges (and any edge at all, where x has wildcard
-  // ones)? Binary searches on HasLabelRanges backends, scans otherwise.
+  // ones)? One binary search per label.
   bool DegreeOk(VarId x, NodeId v) const {
     const VarInfo& vi = info_[x];
     if (vi.has_wild_out && g_.OutDegree(v) == 0) return false;
     if (vi.has_wild_in && g_.InDegree(v) == 0) return false;
-    if constexpr (HasLabelRanges<GView>) {
-      for (Label l : vi.out_labels) {
-        if (!g_.HasOutLabel(v, l)) return false;
-      }
-      for (Label l : vi.in_labels) {
-        if (!g_.HasInLabel(v, l)) return false;
-      }
-    } else {
-      for (Label l : vi.out_labels) {
-        bool found = false;
-        for (const Edge& e : g_.out(v)) {
-          if (e.label == l) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
-      for (Label l : vi.in_labels) {
-        bool found = false;
-        for (const Edge& e : g_.in(v)) {
-          if (e.label == l) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
+    for (Label l : vi.out_labels) {
+      if (!g_.HasOutLabel(v, l)) return false;
+    }
+    for (Label l : vi.in_labels) {
+      if (!g_.HasInLabel(v, l)) return false;
     }
     return true;
   }
@@ -503,10 +471,10 @@ class Search {
   }
 
   // Candidate generation + recursion, legacy flavor: scan the single
-  // smallest list (bound-neighbor adjacency, restriction, or label index)
+  // smallest list (bound-neighbor label range, restriction, or label index)
   // and reject per candidate in NodeOk. Sorted sources stream lazily into
-  // the recursion; only unsorted ones (mutable adjacency vectors, wildcard
-  // label ranges) are materialized for the sort/unique pass. An
+  // the recursion; only a wildcard label range, whose neighbor ids can
+  // repeat across labels, is materialized for the sort/unique pass. An
   // unconstrained wildcard variable iterates the id range directly instead
   // of materializing all NumNodes() ids per depth.
   template <typename TryNode>
@@ -522,52 +490,28 @@ class Search {
       if (ds != nullptr) ++ds->accepted;
       return try_node(v);
     };
-    // Find the bound neighbor whose adjacency list is smallest. Only the
-    // list representation is backend-specific: a label-contiguous span on
-    // HasLabelRanges backends (pre-filtered, so `best_size` ranks by
-    // label-filtered fan-out), the whole unsorted adjacency vector
-    // otherwise.
+    // Find the bound neighbor whose label range is smallest (pre-filtered,
+    // so `best_size` ranks by label-filtered fan-out).
     size_t best_size = SIZE_MAX;
     Label best_label = kWildcard;
     bool have_list = false;
-    [[maybe_unused]] std::span<const Edge> best_span;
-    [[maybe_unused]] const std::vector<Edge>* best_vec = nullptr;
-    auto consider = [&](auto lst, Label l) {
+    std::span<const Edge> best_span;
+    auto consider = [&](std::span<const Edge> lst, Label l) {
       if (lst.size() >= best_size) return;
       best_size = lst.size();
       best_label = l;
       have_list = true;
-      if constexpr (HasLabelRanges<GView>) best_span = lst;
+      best_span = lst;
     };
     for (const auto& [l, y] : vi.in) {  // edges y -> x
       NodeId hv = (y == x) ? kUnbound : assignment_[y];
       if (hv == kUnbound) continue;
-      if constexpr (HasLabelRanges<GView>) {
-        consider(g_.OutEdgesLabeled(hv, l), l);
-      } else {
-        const auto& lst = g_.out(hv);
-        if (lst.size() < best_size) {
-          best_size = lst.size();
-          best_vec = &lst;
-          best_label = l;
-          have_list = true;
-        }
-      }
+      consider(g_.OutEdgesLabeled(hv, l), l);
     }
     for (const auto& [l, y] : vi.out) {  // edges x -> y
       NodeId hv = (y == x) ? kUnbound : assignment_[y];
       if (hv == kUnbound) continue;
-      if constexpr (HasLabelRanges<GView>) {
-        consider(g_.InEdgesLabeled(hv, l), l);
-      } else {
-        const auto& lst = g_.in(hv);
-        if (lst.size() < best_size) {
-          best_size = lst.size();
-          best_vec = &lst;
-          best_label = l;
-          have_list = true;
-        }
-      }
+      consider(g_.InEdgesLabeled(hv, l), l);
     }
     // A candidate restriction can beat every adjacency list (NodeOk checks
     // membership in all restrictions and all bound-neighbor edges either
@@ -586,40 +530,25 @@ class Search {
       return true;
     }
     if (have_list) {
-      if constexpr (HasLabelRanges<GView>) {
-        if (best_label != kWildcard) {
-          // Sorted and duplicate-free: stream straight into the search.
-          for (const Edge& e : best_span) {
-            if (!deliver(e.other)) return false;
-          }
-          return true;
-        }
-        // The full range spans several labels; neighbor ids can repeat,
-        // so materialize for the dedup pass.
-        std::vector<NodeId>& cands = cand_bufs_[depth];
-        cands.clear();
-        cands.reserve(best_span.size());
-        for (const Edge& e : best_span) cands.push_back(e.other);
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-        for (NodeId v : cands) {
-          if (!deliver(v)) return false;
-        }
-        return true;
-      } else {
-        std::vector<NodeId>& cands = cand_bufs_[depth];
-        cands.clear();
-        for (const Edge& e : *best_vec) {
-          if (!LabelMatches(best_label, e.label)) continue;
-          cands.push_back(e.other);
-        }
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-        for (NodeId v : cands) {
-          if (!deliver(v)) return false;
+      if (best_label != kWildcard) {
+        // Sorted and duplicate-free: stream straight into the search.
+        for (const Edge& e : best_span) {
+          if (!deliver(e.other)) return false;
         }
         return true;
       }
+      // The full range spans several labels; neighbor ids can repeat, so
+      // materialize for the dedup pass.
+      std::vector<NodeId>& cands = cand_bufs_[depth];
+      cands.clear();
+      cands.reserve(best_span.size());
+      for (const Edge& e : best_span) cands.push_back(e.other);
+      std::sort(cands.begin(), cands.end());
+      cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+      for (NodeId v : cands) {
+        if (!deliver(v)) return false;
+      }
+      return true;
     }
     Label l = q_.label(x);
     if (l == kWildcard) {
@@ -744,16 +673,12 @@ class Search {
       return keep_going;
     }
     if (prof_ != nullptr) ++prof_->depths[depth].extends;
+    const bool intersect = opts_.join != JoinStrategy::kPickSmallest;
     size_t pick = depth;
-    if constexpr (kIntersectable) {
-      if (opts_.join != JoinStrategy::kPickSmallest && opts_.smart_order &&
-          depth + 1 < order_.size()) {
-        pick = PickVarPosition(depth);
-        if (pick != depth && prof_ != nullptr) {
-          ++prof_->depths[depth].reorders;
-        }
-        std::swap(order_[depth], order_[pick]);
-      }
+    if (intersect && opts_.smart_order && depth + 1 < order_.size()) {
+      pick = PickVarPosition(depth);
+      if (pick != depth && prof_ != nullptr) ++prof_->depths[depth].reorders;
+      std::swap(order_[depth], order_[pick]);
     }
     VarId x = order_[depth];
     auto try_node = [&](NodeId v) {
@@ -764,14 +689,8 @@ class Search {
       if (opts_.semantics == MatchSemantics::kIsomorphism) used_[v] = false;
       return keep_going;
     };
-    bool keep_going;
-    if constexpr (kIntersectable) {
-      keep_going = opts_.join != JoinStrategy::kPickSmallest
-                       ? ExtendIntersect(x, depth, try_node)
-                       : ExtendLegacy(x, depth, try_node);
-    } else {
-      keep_going = ExtendLegacy(x, depth, try_node);
-    }
+    bool keep_going = intersect ? ExtendIntersect(x, depth, try_node)
+                                : ExtendLegacy(x, depth, try_node);
     // Restore the static tail so sibling subtrees rank against the same
     // baseline order (the refinement above is binding-specific).
     if (pick != depth) std::swap(order_[depth], order_[pick]);
@@ -818,13 +737,12 @@ class Search {
   MatchProfile local_prof_;
   MatchProfile* prof_ = nullptr;
   // Intersection backend, resolved once per enumeration (override >
-  // requested > detection; match/kernels/registry.h). Only the
-  // span-capable backends dispatch; the legacy path never consults it.
-  const IntersectionKernel* kernel_ =
-      kIntersectable ? &ResolveKernel(opts_.kernel_backend) : nullptr;
+  // requested > detection; match/kernels/registry.h). The legacy path never
+  // consults it.
+  const IntersectionKernel* kernel_ = &ResolveKernel(opts_.kernel_backend);
 };
 
-// ----- backend-generic implementations (instantiated for both views) --------
+// ----- backend-generic implementations (instantiated for both backends) -----
 
 template <GraphView GView>
 MatchStats EnumerateMatchesImpl(const Pattern& q, const GView& g,
@@ -949,8 +867,10 @@ VarId MostSelectiveVariableImpl(const Pattern& q, const GView& g) {
   return best;
 }
 
-template <GraphView GView>
-bool IsValidMatchImpl(const Pattern& q, const GView& g,
+// Unconstrained: besides both backends it also checks reports against the
+// mutable Graph they were computed from.
+template <typename G>
+bool IsValidMatchImpl(const Pattern& q, const G& g,
                       std::span<const NodeId> h) {
   if (h.size() != q.NumVars()) return false;
   for (VarId x = 0; x < q.NumVars(); ++x) {
@@ -967,23 +887,10 @@ bool IsValidMatchImpl(const Pattern& q, const GView& g,
 
 // ----- public API: one overload per backend ---------------------------------
 
-MatchStats EnumerateMatches(const Pattern& q, const Graph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb) {
-  return EnumerateMatchesImpl(q, g, options, cb);
-}
-
 MatchStats EnumerateMatches(const Pattern& q, const FrozenGraph& g,
                             const MatchOptions& options,
                             const MatchCallback& cb) {
   return EnumerateMatchesImpl(q, g, options, cb);
-}
-
-MatchStats EnumerateMatchesTouching(const Pattern& q, const Graph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb) {
-  return EnumerateMatchesTouchingImpl(q, g, touched, options, cb);
 }
 
 MatchStats EnumerateMatchesTouching(const Pattern& q, const FrozenGraph& g,
@@ -993,28 +900,14 @@ MatchStats EnumerateMatchesTouching(const Pattern& q, const FrozenGraph& g,
   return EnumerateMatchesTouchingImpl(q, g, touched, options, cb);
 }
 
-bool HasMatch(const Pattern& q, const Graph& g, const MatchOptions& options) {
-  return HasMatchImpl(q, g, options);
-}
-
 bool HasMatch(const Pattern& q, const FrozenGraph& g,
               const MatchOptions& options) {
   return HasMatchImpl(q, g, options);
 }
 
-uint64_t CountMatches(const Pattern& q, const Graph& g,
-                      const MatchOptions& options) {
-  return CountMatchesImpl(q, g, options);
-}
-
 uint64_t CountMatches(const Pattern& q, const FrozenGraph& g,
                       const MatchOptions& options) {
   return CountMatchesImpl(q, g, options);
-}
-
-std::vector<Match> AllMatches(const Pattern& q, const Graph& g,
-                              const MatchOptions& options) {
-  return AllMatchesImpl(q, g, options);
 }
 
 std::vector<Match> AllMatches(const Pattern& q, const FrozenGraph& g,
@@ -1030,10 +923,6 @@ bool IsValidMatch(const Pattern& q, const Graph& g,
 bool IsValidMatch(const Pattern& q, const FrozenGraph& g,
                   std::span<const NodeId> h) {
   return IsValidMatchImpl(q, g, h);
-}
-
-VarId MostSelectiveVariable(const Pattern& q, const Graph& g) {
-  return MostSelectiveVariableImpl(q, g);
 }
 
 VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g) {

@@ -19,13 +19,13 @@
 //   * per-label degree filtering,
 // each of which can be toggled off for the ablation benchmark.
 //
-// The search runs against any GraphView backend (graph/view.h): every entry
-// point is overloaded for the mutable Graph, the immutable FrozenGraph
-// CSR snapshot, and the OverlayView delta overlay (graph/overlay.h). All
-// overloads share one templated implementation, so match sets are
-// identical; against a FrozenGraph the search additionally exploits
-// label-contiguous adjacency (candidates come pre-sorted and pre-filtered,
-// degree filtering is a binary search).
+// The search runs against the two GraphView backends (graph/view.h): every
+// entry point is overloaded for the immutable FrozenGraph CSR snapshot and
+// the OverlayView delta overlay (graph/overlay.h), sharing one templated
+// implementation, so match sets are identical. Both serve label-contiguous
+// sorted adjacency: candidates come pre-sorted and pre-filtered, and degree
+// filtering is a binary search. The mutable Graph is no backend; freeze it
+// first (FrozenGraph::Freeze). Only IsValidMatch also reads a Graph.
 
 #ifndef GEDLIB_MATCH_MATCHER_H_
 #define GEDLIB_MATCH_MATCHER_H_
@@ -51,9 +51,7 @@ enum class MatchSemantics {
 
 /// How the matcher generates candidates per search variable.
 enum class JoinStrategy : uint8_t {
-  kAuto = 0,       ///< leapfrog where the backend supports it (default)
-  kLeapfrog,       ///< require the worst-case-optimal k-way intersection;
-                   ///< invalid where no span-capable backend will serve it
+  kAuto = 0,       ///< worst-case-optimal k-way leapfrog join (default)
   kPickSmallest,   ///< legacy scan-smallest-list generator (ablation)
 };
 
@@ -72,24 +70,19 @@ struct MatchOptions {
   /// Order variables connectivity-first / most-constrained-first instead of
   /// x̄ order.
   bool smart_order = true;
-  /// Candidate generation. kAuto and kLeapfrog run the k-way leapfrog
-  /// intersection over all sorted lists constraining a variable (bound
-  /// pattern-neighbor CSR label ranges, restriction lists, the label index);
-  /// kPickSmallest scans the single smallest list and rejects per candidate
-  /// with binary-search edge probes. Worst-case-optimal on dense
-  /// multi-constraint patterns; identical match sets either way. The
-  /// intersection only engages on backends with columnar sorted neighbor
-  /// spans (HasNeighborSpans — the FrozenGraph CSR snapshot and the
-  /// overlay); the mutable Graph always takes the pick-smallest path, whose
-  /// unsorted adjacency has nothing to intersect.
+  /// Candidate generation. kAuto runs the k-way leapfrog intersection over
+  /// all sorted lists constraining a variable (bound pattern-neighbor CSR
+  /// label ranges, restriction lists, the label index); kPickSmallest scans
+  /// the single smallest list and rejects per candidate with binary-search
+  /// edge probes. Worst-case-optimal on dense multi-constraint patterns;
+  /// identical match sets either way.
   JoinStrategy join = JoinStrategy::kAuto;
   /// Which intersection-kernel backend the k-way path runs on
   /// (match/kernels/registry.h). kAuto defers to runtime detection; an
   /// explicit backend that is unavailable in this binary / on this host
   /// falls back to detection (callers wanting hard failure validate via
   /// ExecutionPolicy first). A process-wide override (SetKernelOverride /
-  /// GEDLIB_KERNEL_BACKEND) beats this field. Ignored on the legacy path
-  /// and on backends without columnar neighbor spans.
+  /// GEDLIB_KERNEL_BACKEND) beats this field. Ignored on the legacy path.
   KernelBackend kernel_backend = KernelBackend::kAuto;
   /// Stop after this many matches (0 = unlimited).
   uint64_t max_matches = 0;
@@ -135,9 +128,6 @@ struct MatchStats {
 
 /// Enumerates matches of `q` in `g`, calling `cb` for each.
 /// An empty pattern (no variables) yields exactly one empty match.
-MatchStats EnumerateMatches(const Pattern& q, const Graph& g,
-                            const MatchOptions& options,
-                            const MatchCallback& cb);
 MatchStats EnumerateMatches(const Pattern& q, const FrozenGraph& g,
                             const MatchOptions& options,
                             const MatchCallback& cb);
@@ -160,10 +150,6 @@ MatchStats EnumerateMatches(const Pattern& q, const OverlayView& g,
 /// `options.max_matches` caps the *delivered* (deduplicated) matches.
 /// MatchStats aggregates across all pinned runs; `matches` counts delivered
 /// matches only.
-MatchStats EnumerateMatchesTouching(const Pattern& q, const Graph& g,
-                                    const std::vector<NodeId>& touched,
-                                    const MatchOptions& options,
-                                    const MatchCallback& cb);
 MatchStats EnumerateMatchesTouching(const Pattern& q, const FrozenGraph& g,
                                     const std::vector<NodeId>& touched,
                                     const MatchOptions& options,
@@ -174,24 +160,18 @@ MatchStats EnumerateMatchesTouching(const Pattern& q, const OverlayView& g,
                                     const MatchCallback& cb);
 
 /// True iff at least one match exists.
-bool HasMatch(const Pattern& q, const Graph& g,
-              const MatchOptions& options = {});
 bool HasMatch(const Pattern& q, const FrozenGraph& g,
               const MatchOptions& options = {});
 bool HasMatch(const Pattern& q, const OverlayView& g,
               const MatchOptions& options = {});
 
 /// Number of matches (subject to options caps).
-uint64_t CountMatches(const Pattern& q, const Graph& g,
-                      const MatchOptions& options = {});
 uint64_t CountMatches(const Pattern& q, const FrozenGraph& g,
                       const MatchOptions& options = {});
 uint64_t CountMatches(const Pattern& q, const OverlayView& g,
                       const MatchOptions& options = {});
 
 /// Collects all matches (subject to options caps).
-std::vector<Match> AllMatches(const Pattern& q, const Graph& g,
-                              const MatchOptions& options = {});
 std::vector<Match> AllMatches(const Pattern& q, const FrozenGraph& g,
                               const MatchOptions& options = {});
 std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
@@ -201,7 +181,8 @@ std::vector<Match> AllMatches(const Pattern& q, const OverlayView& g,
 /// `g`: every variable bound to an in-range node with L_Q(x) ≼ L(h(x)), and
 /// every pattern edge present with a matching label. `h` is any contiguous
 /// run of ids — a Match and a report row (reason/validation.h MatchRow)
-/// both convert implicitly.
+/// both convert implicitly. The one check that also reads a mutable Graph:
+/// it re-checks a report against the graph it was computed from.
 bool IsValidMatch(const Pattern& q, const Graph& g,
                   std::span<const NodeId> h);
 bool IsValidMatch(const Pattern& q, const FrozenGraph& g,
@@ -216,7 +197,6 @@ bool IsValidMatch(const Pattern& q, const OverlayView& g,
 /// (plan/SelectPinVariable) and the parallel validation drivers partition
 /// work on, so pins land on the variable the search itself would pick.
 /// Requires q.NumVars() > 0.
-VarId MostSelectiveVariable(const Pattern& q, const Graph& g);
 VarId MostSelectiveVariable(const Pattern& q, const FrozenGraph& g);
 VarId MostSelectiveVariable(const Pattern& q, const OverlayView& g);
 

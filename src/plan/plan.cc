@@ -6,6 +6,7 @@
 
 #include "ged/canonical.h"
 #include "graph/overlay.h"
+#include "graph/view.h"
 
 namespace ged {
 
@@ -86,7 +87,7 @@ RulesetPlan RulesetPlan::Compile(const std::vector<Ged>& sigma) {
 
 namespace {
 
-template <typename GView>
+template <GraphView GView>
 MatchStats ScanBucketT(const GView& g, const PlanBucket& bucket,
                        const MatchOptions& mopts, uint64_t* checked,
                        const PlanViolationCallback& on_violation) {
@@ -108,12 +109,6 @@ MatchStats ScanBucketT(const GView& g, const PlanBucket& bucket,
 
 }  // namespace
 
-MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation) {
-  return ScanBucketT(g, bucket, mopts, checked, on_violation);
-}
-
 MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation) {
@@ -130,10 +125,6 @@ MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
 // (match/MostSelectiveVariable) so parallel partitioning pins the variable
 // the search would root at anyway — one ranking, shared by BuildOrder, the
 // plan executor, and the validation drivers.
-VarId SelectPinVariable(const Pattern& q, const Graph& g) {
-  return MostSelectiveVariable(q, g);
-}
-
 VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g) {
   return MostSelectiveVariable(q, g);
 }

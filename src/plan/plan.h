@@ -15,9 +15,10 @@
 // partitioning tools of the matcher apply unchanged, since the bucket
 // pattern *is* a pattern) and reports each rule's violations with the match
 // permuted back into the rule's own variable order, so reports are
-// bit-identical to the per-GED legacy path. SelectPinVariable picks the
+// bit-identical to one scan per rule. SelectPinVariable picks the
 // enumeration variable to partition parallel work on, by label-index
-// selectivity (graph/Graph::CandidateCount).
+// selectivity (CandidateCount). Both run on the read backends of
+// graph/view.h, FrozenGraph and OverlayView.
 
 #ifndef GEDLIB_PLAN_PLAN_H_
 #define GEDLIB_PLAN_PLAN_H_
@@ -28,7 +29,6 @@
 
 #include "ged/ged.h"
 #include "graph/frozen.h"
-#include "graph/graph.h"
 #include "match/matcher.h"
 
 namespace ged {
@@ -85,11 +85,7 @@ using PlanViolationCallback =
 /// member rule, increments *checked and reports the rule's violations
 /// (h ⊨ X but h ⊭ Y). A bucket scan therefore inspects exactly the
 /// (match, rule) pairs one scan per rule would, so `checked` counts agree
-/// with Σ over rules of #matches. Overloaded per read backend; reports are bit-identical
-/// between the mutable Graph and a FrozenGraph snapshot of it.
-MatchStats ScanBucket(const Graph& g, const PlanBucket& bucket,
-                      const MatchOptions& mopts, uint64_t* checked,
-                      const PlanViolationCallback& on_violation);
+/// with Σ over rules of #matches. Overloaded per read backend.
 MatchStats ScanBucket(const FrozenGraph& g, const PlanBucket& bucket,
                       const MatchOptions& mopts, uint64_t* checked,
                       const PlanViolationCallback& on_violation);
@@ -102,7 +98,6 @@ MatchStats ScanBucket(const OverlayView& g, const PlanBucket& bucket,
 /// label-index candidate count, ties to highest pattern degree then lowest
 /// id), so pins and the search ordering come from the same selectivity
 /// ranking. Requires NumVars() > 0.
-VarId SelectPinVariable(const Pattern& q, const Graph& g);
 VarId SelectPinVariable(const Pattern& q, const FrozenGraph& g);
 VarId SelectPinVariable(const Pattern& q, const OverlayView& g);
 

@@ -10,20 +10,8 @@ const char* JoinStrategyName(JoinStrategy v) {
   switch (v) {
     case JoinStrategy::kAuto:
       return "auto";
-    case JoinStrategy::kLeapfrog:
-      return "leapfrog";
     case JoinStrategy::kPickSmallest:
       return "pick_smallest";
-  }
-  return "unknown";
-}
-
-const char* SnapshotModeName(SnapshotMode v) {
-  switch (v) {
-    case SnapshotMode::kAuto:
-      return "auto";
-    case SnapshotMode::kNever:
-      return "never";
   }
   return "unknown";
 }
@@ -40,16 +28,7 @@ const char* FsyncPolicyName(DurabilityOptions::Fsync v) {
   return "unknown";
 }
 
-Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
-                               ExecutionSurface surface) {
-  if (policy.join == JoinStrategy::kLeapfrog &&
-      surface == ExecutionSurface::kValidation &&
-      policy.snapshot == SnapshotMode::kNever) {
-    return Status::InvalidArgument(
-        "join=leapfrog requires a frozen CSR snapshot, but snapshot=never "
-        "forces the mutable-graph scan, whose unsorted adjacency has no "
-        "spans to intersect; use snapshot=auto or join=auto");
-  }
+Status ValidateExecutionPolicy(const ExecutionPolicy& policy) {
   if (policy.kernel != KernelBackend::kAuto &&
       policy.join == JoinStrategy::kPickSmallest) {
     return Status::InvalidArgument(

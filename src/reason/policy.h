@@ -1,14 +1,13 @@
 // ExecutionPolicy: the engine-execution options, one validated struct.
 //
 // Each field is an enum whose kAuto/default means "the engine decides":
-// the matcher's join strategy, the SIMD kernel backend of the leapfrog
-// join, and whether full validation freezes a mutable graph into a CSR
-// snapshot. Some combinations cannot do what they claim — the k-way
-// intersection needs a backend with sorted columnar spans, and a forced
-// kernel is dead weight under the pick-smallest join.
-// ValidateExecutionPolicy rejects those with Status::InvalidArgument
-// before any work starts; IncrementalValidator::Create calls it, and
-// callers of Validate check with it themselves.
+// the matcher's join strategy and the SIMD kernel backend of the leapfrog
+// join. Some combinations cannot do what they claim — a forced kernel is
+// dead weight under the pick-smallest join, and a kernel missing from this
+// binary or host cannot run. ValidateExecutionPolicy rejects those with
+// Status::InvalidArgument before any work starts;
+// IncrementalValidator::Create calls it, and callers of Validate check with
+// it themselves.
 
 #ifndef GEDLIB_REASON_POLICY_H_
 #define GEDLIB_REASON_POLICY_H_
@@ -22,24 +21,9 @@
 
 namespace ged {
 
-/// Whether full validation compiles a mutable graph into a FrozenGraph CSR
-/// snapshot before scanning.
-enum class SnapshotMode : uint8_t {
-  kAuto = 0,  ///< freeze above the amortization cutoff, and always when the
-              ///< policy requires the leapfrog join (which needs the CSR)
-  kNever,     ///< always scan the mutable adjacency (freeze-cost studies)
-};
-
-/// Where a policy is about to be used; some combinations are only
-/// meaningful (or only wrong) on one surface.
-enum class ExecutionSurface : uint8_t {
-  kValidation,   ///< full Validate / ValidateWithPlan over one graph
-  kIncremental,  ///< IncrementalValidator commit maintenance
-};
-
 /// The validated execution policy. Default-constructed = engine decides
-/// everything (today: leapfrog where possible, snapshot above cutoff,
-/// auto-detected kernel backend).
+/// everything (today: the leapfrog join on the auto-detected kernel
+/// backend).
 struct ExecutionPolicy {
   JoinStrategy join = JoinStrategy::kAuto;
   /// SIMD intersection backend for the leapfrog join
@@ -47,7 +31,6 @@ struct ExecutionPolicy {
   /// running binary/host, and are inert — hence rejected — when `join`
   /// disables the intersection path.
   KernelBackend kernel = KernelBackend::kAuto;
-  SnapshotMode snapshot = SnapshotMode::kAuto;
 
   bool operator==(const ExecutionPolicy&) const = default;
 };
@@ -96,19 +79,15 @@ struct DurabilityOptions {
 const char* FsyncPolicyName(DurabilityOptions::Fsync v);
 
 /// Rejects inert or unsatisfiable combinations with InvalidArgument:
-///   * join=kLeapfrog with snapshot=kNever on the validation surface — the
-///     mutable-graph scan has no sorted spans to intersect;
 ///   * kernel != kAuto with join=kPickSmallest — a forced backend that can
 ///     never run;
 ///   * kernel != kAuto naming a backend unavailable in this binary or on
 ///     this host.
 /// Returns OK for everything the engine can honor as stated.
-Status ValidateExecutionPolicy(const ExecutionPolicy& policy,
-                               ExecutionSurface surface);
+Status ValidateExecutionPolicy(const ExecutionPolicy& policy);
 
-/// Stable lowercase names for log/EXPLAIN rendering.
+/// Stable lowercase name for log/EXPLAIN rendering.
 const char* JoinStrategyName(JoinStrategy v);
-const char* SnapshotModeName(SnapshotMode v);
 
 }  // namespace ged
 

@@ -1,7 +1,5 @@
 #include "reason/validation.h"
 
-#include "graph/overlay.h"
-
 #include <algorithm>
 #include <atomic>
 #include <functional>
@@ -10,6 +8,9 @@
 #include <string>
 #include <thread>
 #include <utility>
+
+#include "graph/overlay.h"
+#include "graph/view.h"
 
 namespace ged {
 
@@ -173,7 +174,7 @@ void AccountBucketScan(const PlanBucket& bucket, size_t bucket_id,
 
 // One scan task of one bucket: an unpinned full run when `pins` is empty,
 // otherwise one pinned run per pin (all under one scan-task profile/span).
-template <typename GView>
+template <GraphView GView>
 void ScanBucketInto(const GView& g, const PlanBucket& bucket,
                     size_t bucket_id, const ValidationOptions& vopts,
                     VarId pin_var, const std::vector<NodeId>& pins,
@@ -280,7 +281,7 @@ ValidationReport RunParallelScan(
 }
 
 // Candidate nodes for pinning variable `pin` of `q` in `g`.
-template <typename GView>
+template <GraphView GView>
 std::vector<NodeId> PinCandidates(const Pattern& q, VarId pin,
                                   const GView& g) {
   Label l = q.label(pin);
@@ -295,7 +296,7 @@ std::vector<NodeId> PinCandidates(const Pattern& q, VarId pin,
 
 // ----- compiled Validate ----------------------------------------------------
 
-template <typename GView>
+template <GraphView GView>
 ValidationReport ValidateSerialPlan(const GView& g, const RulesetPlan& plan,
                                     const ValidationOptions& options) {
   WorkerState ws;
@@ -305,7 +306,7 @@ ValidationReport ValidateSerialPlan(const GView& g, const RulesetPlan& plan,
   return ReportFromWorker(std::move(ws), options);
 }
 
-template <typename GView>
+template <GraphView GView>
 ValidationReport ValidateParallelPlan(const GView& g, const RulesetPlan& plan,
                                       const ValidationOptions& options) {
   // Work items: (bucket, chunk of candidates for the bucket's most selective
@@ -386,25 +387,6 @@ bool SeedEndpointRestrictions(const OverlayView& g, const Pattern& q,
 
 namespace {
 
-// Freezing pays one O(|V| + |E| log d) compilation pass before any
-// matching happens. On large graphs the CSR scan repays it many times over;
-// on tiny ones (unit-test fixtures, the small scenario instances) the freeze
-// alone can exceed the whole enumeration. Freezing kicks in above this
-// |V| + |E| size — below it the snapshot could not plausibly amortize
-// within one call, and callers who freeze once and validate many times hold
-// a FrozenGraph themselves (that overload never re-freezes).
-constexpr size_t kFreezeSizeCutoff = 4096;
-
-bool ShouldFreeze(const Graph& g, const ValidationOptions& options) {
-  const ExecutionPolicy& policy = options.policy;
-  if (policy.snapshot == SnapshotMode::kNever) return false;
-  // An explicit leapfrog requirement always freezes: the k-way intersection
-  // only engages on the CSR's sorted columnar spans, so honoring the policy
-  // on a tiny graph beats amortizing the freeze.
-  if (policy.join == JoinStrategy::kLeapfrog) return true;
-  return g.Size() >= kFreezeSizeCutoff;
-}
-
 // RulesetPlan::Compile under the "PlanCompile" span, with plan-shape
 // metrics and the profiler's compile wall time.
 RulesetPlan CompileWithObs(const std::vector<Ged>& sigma,
@@ -427,15 +409,16 @@ RulesetPlan CompileWithObs(const std::vector<Ged>& sigma,
 // Dispatch bodies of the public entries, without the run-level "Validate"
 // span — the public overloads chain (Graph → FrozenGraph, Validate →
 // ValidateWithPlan), so the span and run metrics are opened exactly once at
-// the outermost public call and the chain runs through these.
-template <typename GView>
+// the outermost public call and the chain runs through these. Instantiated
+// for the two read backends only.
+template <GraphView GView>
 ValidationReport ValidateWithPlanNoObs(const GView& g, const RulesetPlan& plan,
                                        const ValidationOptions& options) {
   if (options.num_threads <= 1) return ValidateSerialPlan(g, plan, options);
   return ValidateParallelPlan(g, plan, options);
 }
 
-template <typename GView>
+template <GraphView GView>
 ValidationReport ValidateNoObs(const GView& g, const std::vector<Ged>& sigma,
                                const ValidationOptions& options) {
   return ValidateWithPlanNoObs(g, CompileWithObs(sigma, options), options);
@@ -477,17 +460,12 @@ class ValidateObsScope {
 
 }  // namespace
 
+// Freeze once; serial and parallel workers all scan the CSR arrays.
 ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
   ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
-    // Freeze once; serial and parallel workers all scan the CSR arrays.
-    FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateNoObs(frozen, sigma, options);
-  } else {
-    report = ValidateNoObs(g, sigma, options);
-  }
+  ValidationReport report =
+      ValidateNoObs(FrozenGraph::Freeze(g, options.obs), sigma, options);
   scope.Observe(report);
   return report;
 }
@@ -503,13 +481,8 @@ ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
 ValidationReport ValidateWithPlan(const Graph& g, const RulesetPlan& plan,
                                   const ValidationOptions& options) {
   ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());
-  ValidationReport report;
-  if (ShouldFreeze(g, options)) {
-    FrozenGraph frozen = FrozenGraph::Freeze(g, options.obs);
-    report = ValidateWithPlanNoObs(frozen, plan, options);
-  } else {
-    report = ValidateWithPlanNoObs(g, plan, options);
-  }
+  ValidationReport report =
+      ValidateWithPlanNoObs(FrozenGraph::Freeze(g, options.obs), plan, options);
   scope.Observe(report);
   return report;
 }
@@ -523,8 +496,7 @@ ValidationReport ValidateWithPlan(const FrozenGraph& g,
   return report;
 }
 
-// Overlay overloads: the base is already CSR, so there is no ShouldFreeze
-// question — scan the overlay directly.
+// Overlay overloads: the base is already CSR — scan the overlay directly.
 ValidationReport Validate(const OverlayView& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options) {
   ValidateObsScope scope(options, g.NumNodes(), g.NumEdges());

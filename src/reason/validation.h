@@ -17,12 +17,13 @@
 // thread pool partitioning the candidate bindings of one pattern variable —
 // the most selective one, by the label-index statistics of graph/.
 //
-// Full validation is read-only, so by default (ExecutionPolicy::snapshot,
-// above the amortization cutoff) a mutable Graph is first compiled into an
-// immutable FrozenGraph CSR snapshot (graph/frozen.h) and all workers scan
-// its contiguous arrays. The incremental building blocks below scan the
-// OverlayView (graph/overlay.h) IncrementalValidator serves commits
-// through. Every path produces the same sorted report against any backend.
+// Every scan reads one of the two backends of graph/view.h. Validate on a
+// mutable Graph compiles it once into an immutable FrozenGraph CSR snapshot
+// (graph/frozen.h), and all workers scan its contiguous arrays; callers that
+// validate one graph many times freeze it themselves and pass the snapshot.
+// The incremental building blocks below scan the OverlayView
+// (graph/overlay.h) IncrementalValidator serves commits through. Every path
+// produces the same sorted report.
 
 #ifndef GEDLIB_REASON_VALIDATION_H_
 #define GEDLIB_REASON_VALIDATION_H_
@@ -155,19 +156,12 @@ struct ValidationOptions {
   /// Matcher toggles (for the ablation bench).
   bool degree_filter = true;
   bool smart_order = true;
-  /// The execution policy (reason/policy.h): join strategy, SIMD kernel
-  /// backend and snapshot mode. Check it with ValidateExecutionPolicy to
-  /// get InvalidArgument on inert combinations before work starts —
-  /// Validate does not; IncrementalValidator::Create does.
-  ///   * join: worst-case-optimal k-way intersection vs the pick-smallest-
-  ///     list generator. Reports are identical either way; kAuto leapfrogs
-  ///     wherever the backend has sorted columnar spans.
-  ///   * snapshot: freeze a mutable Graph into a FrozenGraph CSR before
-  ///     full validation. The freeze costs one O(|V| + |E| log d) pass, so
-  ///     kAuto engages above an amortization cutoff (and always under
-  ///     join=kLeapfrog, which needs the CSR); kNever scans the mutable
-  ///     adjacency (freeze-cost studies). Full Validate on a mutable Graph
-  ///     only — the FrozenGraph and OverlayView overloads never re-freeze.
+  /// The execution policy (reason/policy.h): join strategy and SIMD kernel
+  /// backend. Check it with ValidateExecutionPolicy to get InvalidArgument
+  /// on inert combinations before work starts — Validate does not;
+  /// IncrementalValidator::Create does. The join is the worst-case-optimal
+  /// k-way intersection (kAuto) or the pick-smallest-list generator;
+  /// reports are identical either way.
   ExecutionPolicy policy;
   /// Re-freeze cutoff (IncrementalValidator): once
   /// overlay's side index outweighs this many entries (OverlayView::
@@ -212,13 +206,13 @@ struct ValidationReport {
   std::vector<size_t> aborted_geds;
 };
 
-/// Checks G ⊨ Σ, reporting violations. Under policy.snapshot = kAuto (the
-/// default) the graph is frozen once above the amortization cutoff and
-/// scanned through the CSR snapshot.
+/// Checks G ⊨ Σ, reporting violations. The graph is frozen once
+/// (FrozenGraph::Freeze, one O(|V| + |E| log d) pass) and scanned through
+/// the CSR snapshot.
 ValidationReport Validate(const Graph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 /// Checks a pre-frozen snapshot (the serving path: freeze once, validate
-/// many times — policy.snapshot is moot here).
+/// many times).
 ValidationReport Validate(const FrozenGraph& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 
@@ -232,7 +226,7 @@ ValidationReport ValidateWithPlan(const FrozenGraph& g,
                                   const ValidationOptions& options = {});
 
 /// Overlay overloads: scan a delta overlay (graph/overlay.h) directly — the
-/// base is already CSR, so policy.snapshot is moot (never re-frozen here).
+/// base is already CSR, so nothing is re-frozen here.
 ValidationReport Validate(const OverlayView& g, const std::vector<Ged>& sigma,
                           const ValidationOptions& options = {});
 ValidationReport ValidateWithPlan(const OverlayView& g,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "axiom/checker.h"
 #include "axiom/generator.h"
@@ -47,7 +48,17 @@ void ExpectAgreesWithReference(const Graph& g, const std::vector<Ged>& sigma,
     EXPECT_EQ(res.coercion.graph.NumEdges(), built.graph.NumEdges()) << what;
     for (NodeId q = 0; q < built.graph.NumNodes(); ++q) {
       EXPECT_EQ(res.coercion.graph.label(q), built.graph.label(q)) << what;
-      EXPECT_EQ(res.coercion.graph.attrs(q), built.graph.attrs(q)) << what;
+      auto names = [](const FrozenGraph& f, NodeId v) {
+        return std::vector<AttrId>(f.AttrNames(v).begin(),
+                                   f.AttrNames(v).end());
+      };
+      auto values = [](const FrozenGraph& f, NodeId v) {
+        return std::vector<Value>(f.AttrValues(v).begin(),
+                                  f.AttrValues(v).end());
+      };
+      EXPECT_EQ(names(res.coercion.graph, q), names(built.graph, q)) << what;
+      EXPECT_EQ(values(res.coercion.graph, q), values(built.graph, q))
+          << what;
     }
   }
 }

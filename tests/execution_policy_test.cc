@@ -14,52 +14,30 @@
 namespace ged {
 namespace {
 
-TEST(ExecutionPolicy, DefaultPolicyIsValidOnEverySurface) {
-  ExecutionPolicy policy;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental).ok());
-}
-
-TEST(ExecutionPolicy, RejectsLeapfrogWithoutSnapshot) {
-  // Rule 1: the mutable-graph scan has no sorted spans, so an explicit
-  // leapfrog requirement cannot be honored with the snapshot disabled.
-  ExecutionPolicy policy;
-  policy.join = JoinStrategy::kLeapfrog;
-  policy.snapshot = SnapshotMode::kNever;
-  Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // The same pair is fine on the incremental surface, where `snapshot`
-  // governs only the seeding pass and commits read the overlay.
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kIncremental).ok());
+TEST(ExecutionPolicy, DefaultPolicyIsValid) {
+  EXPECT_TRUE(ValidateExecutionPolicy(ExecutionPolicy{}).ok());
 }
 
 TEST(ExecutionPolicy, RejectsForcedKernelWithLegacyJoin) {
-  // Rule 2: a forced SIMD backend can never run under the pick-smallest
+  // Rule 1: a forced SIMD backend can never run under the pick-smallest
   // generator — inert knobs are errors now.
   ExecutionPolicy policy;
   policy.join = JoinStrategy::kPickSmallest;
   policy.kernel = KernelBackend::kScalar;
-  for (ExecutionSurface surface :
-       {ExecutionSurface::kValidation, ExecutionSurface::kIncremental}) {
-    Status s = ValidateExecutionPolicy(policy, surface);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  }
+  Status s = ValidateExecutionPolicy(policy);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExecutionPolicy, RejectsUnavailableKernelBackend) {
-  // Rule 3: an explicit backend this binary/host cannot serve is rejected
+  // Rule 2: an explicit backend this binary/host cannot serve is rejected
   // up front (ResolveKernel would silently fall back — the policy layer is
   // where "I require X" gets its hard answer).
   bool found_missing = false;
   for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kNeon}) {
     ExecutionPolicy policy;
     policy.kernel = b;
-    Status s = ValidateExecutionPolicy(policy, ExecutionSurface::kValidation);
+    Status s = ValidateExecutionPolicy(policy);
     if (KernelAvailable(b)) {
       EXPECT_TRUE(s.ok()) << KernelBackendName(b);
     } else {
@@ -79,11 +57,7 @@ TEST(ExecutionPolicy, RejectsUnavailableKernelBackend) {
 TEST(ExecutionPolicy, ScalarKernelAlwaysValidatesUnderAutoJoin) {
   ExecutionPolicy policy;
   policy.kernel = KernelBackend::kScalar;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
-  policy.join = JoinStrategy::kLeapfrog;
-  EXPECT_TRUE(
-      ValidateExecutionPolicy(policy, ExecutionSurface::kValidation).ok());
+  EXPECT_TRUE(ValidateExecutionPolicy(policy).ok());
 }
 
 // ----- backend name round-trip ----------------------------------------------
@@ -102,10 +76,9 @@ TEST(KernelBackendNames, ParseRoundTripsEveryName) {
 }
 
 TEST(PolicyNames, StableLowercaseNames) {
-  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kLeapfrog), "leapfrog");
+  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kAuto), "auto");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kPickSmallest),
                "pick_smallest");
-  EXPECT_STREQ(SnapshotModeName(SnapshotMode::kNever), "never");
   EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
 }
 

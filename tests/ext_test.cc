@@ -51,11 +51,11 @@ TEST(Gdc, ValidationFindsRangeViolations) {
   Graph g;
   NodeId a = g.AddNode("person");
   g.SetAttr(a, "age", Value(30));
-  EXPECT_TRUE(ValidateGdcs(g, sigma.value()));
+  EXPECT_TRUE(ValidateGdcs(FrozenGraph::Freeze(g), sigma.value()));
   NodeId b = g.AddNode("person");
   g.SetAttr(b, "age", Value(-1));
-  EXPECT_FALSE(ValidateGdcs(g, sigma.value()));
-  auto violations = FindGdcViolations(g, sigma.value()[0]);
+  EXPECT_FALSE(ValidateGdcs(FrozenGraph::Freeze(g), sigma.value()));
+  auto violations = FindGdcViolations(FrozenGraph::Freeze(g), sigma.value()[0]);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0][0], b);
 }
@@ -70,7 +70,7 @@ TEST(Gdc, MissingAttributeMakesPredicateUnsatisfied) {
   ASSERT_TRUE(sigma.ok());
   Graph g;
   g.AddNode("n");  // no v attribute: X cannot hold
-  EXPECT_TRUE(ValidateGdcs(g, sigma.value()));
+  EXPECT_TRUE(ValidateGdcs(FrozenGraph::Freeze(g), sigma.value()));
 }
 
 TEST(Gdc, OrderComparisonAcrossNodes) {
@@ -86,17 +86,18 @@ TEST(Gdc, OrderComparisonAcrossNodes) {
   NodeId b = g.AddNode("emp");
   g.SetAttr(b, "salary", Value(90));
   g.AddEdge(a, "boss", b);
-  EXPECT_FALSE(ValidateGdcs(g, sigma.value()));
+  EXPECT_FALSE(ValidateGdcs(FrozenGraph::Freeze(g), sigma.value()));
   g.SetAttr(b, "salary", Value(150));
-  EXPECT_TRUE(ValidateGdcs(g, sigma.value()));
+  EXPECT_TRUE(ValidateGdcs(FrozenGraph::Freeze(g), sigma.value()));
 }
 
 TEST(Gdc, FromGedLiftsExactly) {
   auto geds = Example1Geds();
   Gdc lifted = Gdc::FromGed(geds[0]);
   KbInstance kb = GenKnowledgeBase({});
-  size_t ged_violations = FindViolations(kb.graph, geds[0]).size();
-  size_t gdc_violations = FindGdcViolations(kb.graph, lifted).size();
+  size_t ged_violations = Validate(kb.graph, {geds[0]}).violations.size();
+  size_t gdc_violations =
+      FindGdcViolations(FrozenGraph::Freeze(kb.graph), lifted).size();
   EXPECT_EQ(ged_violations, gdc_violations);
 }
 
@@ -118,7 +119,7 @@ TEST(GdcReason, DomainConstraintPairIsSatisfiable) {
   GdcDecision d = CheckGdcSatisfiability(sigma.value());
   EXPECT_EQ(d.decision, Decision::kYes) << d.detail;
   ASSERT_TRUE(d.has_witness);
-  EXPECT_TRUE(ValidateGdcs(d.witness, sigma.value()));
+  EXPECT_TRUE(ValidateGdcs(FrozenGraph::Freeze(d.witness), sigma.value()));
 }
 
 TEST(GdcReason, ContradictoryBoundsAreUnsat) {
@@ -231,11 +232,11 @@ TEST(GedOr, ValidationUsesDisjunctiveSemantics) {
   Graph g;
   NodeId a = g.AddNode("tau");
   g.SetAttr(a, "A", Value(1));
-  EXPECT_TRUE(ValidateGedOrs(g, r.value()));
+  EXPECT_TRUE(ValidateGedOrs(FrozenGraph::Freeze(g), r.value()));
   NodeId b = g.AddNode("tau");
   g.SetAttr(b, "A", Value(2));
-  EXPECT_FALSE(ValidateGedOrs(g, r.value()));
-  auto violations = FindGedOrViolations(g, r.value()[0]);
+  EXPECT_FALSE(ValidateGedOrs(FrozenGraph::Freeze(g), r.value()));
+  auto violations = FindGedOrViolations(FrozenGraph::Freeze(g), r.value()[0]);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0][0], b);
 }
@@ -250,7 +251,7 @@ TEST(GedOr, MissingAttributeViolatesDomainConstraint) {
   ASSERT_TRUE(r.ok());
   Graph g;
   g.AddNode("tau");  // no A
-  EXPECT_FALSE(ValidateGedOrs(g, r.value()));
+  EXPECT_FALSE(ValidateGedOrs(FrozenGraph::Freeze(g), r.value()));
 }
 
 TEST(GedOr, FromGedSplitsConjunction) {
@@ -276,7 +277,7 @@ TEST(GedOr, SatisfiabilityBranches) {
   GdcDecision d = CheckGedOrSatisfiability(sigma.value());
   EXPECT_EQ(d.decision, Decision::kYes) << d.detail;
   ASSERT_TRUE(d.has_witness);
-  EXPECT_TRUE(ValidateGedOrs(d.witness, sigma.value()));
+  EXPECT_TRUE(ValidateGedOrs(FrozenGraph::Freeze(d.witness), sigma.value()));
 }
 
 TEST(GedOr, SatisfiabilityAllBranchesDie) {

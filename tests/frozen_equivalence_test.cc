@@ -1,10 +1,12 @@
-// Backend-equivalence harness: every search layer must produce identical
-// results against the mutable Graph and its FrozenGraph CSR snapshot —
-// match sets (matcher), violation reports and matches_checked (validation,
-// which must also equal the reference validator of tests/reference/),
-// under both homomorphism and isomorphism semantics, serial and parallel.
-// The paper's scenarios (knowledge base, social network, music base) and
-// random graph/Σ sweeps drive the comparison.
+// Snapshot-equivalence harness: every search layer run on the FrozenGraph
+// CSR snapshot of a mutable Graph must produce what the reference validator
+// of tests/reference/ computes from the Graph itself — match sets
+// (matcher, under every candidate generator), violation reports and
+// matches_checked (validation, through both the Graph entry point, which
+// freezes, and a caller-held snapshot), under both homomorphism and
+// isomorphism semantics, serial and parallel. The paper's scenarios
+// (knowledge base, social network, music base) and random graph/Σ sweeps
+// drive the comparison.
 
 #include <gtest/gtest.h>
 
@@ -33,12 +35,34 @@ const SemanticsCase kSemantics[] = {
     {MatchSemantics::kIsomorphism, "isomorphism"},
 };
 
-// Sorted match sets of q in g, through the requested backend.
-std::vector<Match> SortedMatches(const Pattern& q, const Graph& g,
-                                 const FrozenGraph& f, bool frozen,
+// Sorted engine match set of q in the snapshot f.
+std::vector<Match> SortedMatches(const Pattern& q, const FrozenGraph& f,
                                  const MatchOptions& opts) {
-  std::vector<Match> ms = frozen ? AllMatches(q, f, opts)
-                                 : AllMatches(q, g, opts);
+  std::vector<Match> ms = AllMatches(q, f, opts);
+  std::sort(ms.begin(), ms.end());
+  return ms;
+}
+
+// Sorted reference match set of q in g; with `touched`, only the matches
+// binding one of its nodes.
+std::vector<Match> ReferenceMatches(const Pattern& q, const Graph& g,
+                                    MatchSemantics semantics,
+                                    const std::vector<NodeId>* touched =
+                                        nullptr) {
+  std::vector<Match> ms;
+  reference::ForEachMatch(q, g, Injective(semantics),
+                          [&](const std::vector<NodeId>& h) {
+                            if (touched != nullptr &&
+                                std::none_of(h.begin(), h.end(),
+                                             [&](NodeId v) {
+                                               return std::binary_search(
+                                                   touched->begin(),
+                                                   touched->end(), v);
+                                             })) {
+                              return;
+                            }
+                            ms.push_back(h);
+                          });
   std::sort(ms.begin(), ms.end());
   return ms;
 }
@@ -47,23 +71,25 @@ void ExpectSameMatches(const Pattern& q, const Graph& g,
                        const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
   for (const SemanticsCase& sem : kSemantics) {
+    const std::vector<Match> ref = ReferenceMatches(q, g, sem.semantics);
     MatchOptions opts;
     opts.semantics = sem.semantics;
-    EXPECT_EQ(SortedMatches(q, g, f, false, opts),
-              SortedMatches(q, g, f, true, opts))
+    EXPECT_EQ(SortedMatches(q, f, opts), ref)
         << what << " [" << sem.name << "]";
-    // The toggled-off matcher configurations must agree across backends
-    // too (they exercise different candidate-generation code paths).
+    // The pick-smallest generator and the toggled-off configurations
+    // exercise different candidate-generation code paths.
+    opts.join = JoinStrategy::kPickSmallest;
+    EXPECT_EQ(SortedMatches(q, f, opts), ref)
+        << what << " pick-smallest [" << sem.name << "]";
     opts.degree_filter = false;
     opts.smart_order = false;
-    EXPECT_EQ(SortedMatches(q, g, f, false, opts),
-              SortedMatches(q, g, f, true, opts))
+    EXPECT_EQ(SortedMatches(q, f, opts), ref)
         << what << " unoptimized [" << sem.name << "]";
   }
 }
 
-// Validation reports on both backends, serial and parallel, each equal to
-// the reference validator's.
+// Validation reports through the Graph entry point and a caller-held
+// snapshot, serial and parallel, each equal to the reference validator's.
 void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
                        const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
@@ -74,7 +100,6 @@ void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
       ValidationOptions opts;
       opts.semantics = sem.semantics;
       opts.num_threads = threads;
-      opts.policy.snapshot = SnapshotMode::kNever;  // mutable baseline
       ValidationReport base = Validate(g, sigma, opts);
       ValidationReport snap = Validate(f, sigma, opts);
       std::string ctx = what + " [" + sem.name +
@@ -152,7 +177,7 @@ TEST(FrozenEquivalence, RandomGraphsAndRulesets) {
 
 TEST(FrozenEquivalence, CappedReportsAreIdentical) {
   // max_violations_per_ged truncation is deterministic (ViolationLess-
-  // smallest); the backends must truncate to the same survivors.
+  // smallest): both entry points keep the reference's survivors.
   KbParams params;
   params.num_products = 60;
   params.wrong_creator = 6;
@@ -161,10 +186,12 @@ TEST(FrozenEquivalence, CappedReportsAreIdentical) {
   FrozenGraph f = FrozenGraph::Freeze(kb.graph);
   ValidationOptions opts;
   opts.max_violations_per_ged = 2;
-  opts.policy.snapshot = SnapshotMode::kNever;
   ValidationReport base = Validate(kb.graph, sigma, opts);
   ValidationReport snap = Validate(f, sigma, opts);
   EXPECT_EQ(base.violations, snap.violations);
+  reference::RefReport ref =
+      reference::Validate(kb.graph, sigma, /*injective=*/false);
+  EXPECT_EQ(RefRows(snap.violations), reference::CapPerGed(ref.violations, 2));
 }
 
 TEST(FrozenEquivalence, TouchingEnumerationAgrees) {
@@ -185,36 +212,15 @@ TEST(FrozenEquivalence, TouchingEnumerationAgrees) {
   for (const SemanticsCase& sem : kSemantics) {
     MatchOptions opts;
     opts.semantics = sem.semantics;
-    std::vector<Match> base, snap;
-    EnumerateMatchesTouching(q, g, touched, opts, [&](const Match& h) {
-      base.push_back(h);
-      return true;
-    });
+    std::vector<Match> snap;
     EnumerateMatchesTouching(q, f, touched, opts, [&](const Match& h) {
       snap.push_back(h);
       return true;
     });
-    std::sort(base.begin(), base.end());
     std::sort(snap.begin(), snap.end());
-    EXPECT_EQ(base, snap) << sem.name;
+    EXPECT_EQ(snap, ReferenceMatches(q, g, sem.semantics, &touched))
+        << sem.name;
   }
-}
-
-TEST(FrozenEquivalence, FreezeSnapshotOptionMatchesMutablePath) {
-  // End to end through the public Validate knob: the option may or may not
-  // engage the snapshot (size cutoff), but the report never changes.
-  KbParams params;
-  params.num_products = 80;
-  KbInstance kb = GenKnowledgeBase(params);
-  std::vector<Ged> sigma = Example1Geds();
-  ValidationOptions on, off;
-  on.policy.snapshot = SnapshotMode::kAuto;
-  off.policy.snapshot = SnapshotMode::kNever;
-  ValidationReport a = Validate(kb.graph, sigma, on);
-  ValidationReport b = Validate(kb.graph, sigma, off);
-  EXPECT_EQ(a.satisfied, b.satisfied);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.matches_checked, b.matches_checked);
 }
 
 }  // namespace

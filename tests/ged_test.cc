@@ -7,6 +7,7 @@
 #include "ged/ged.h"
 #include "ged/parser.h"
 #include "gen/scenarios.h"
+#include "reason/validation.h"
 
 namespace ged {
 namespace {
@@ -41,17 +42,18 @@ TEST(Literal, SatisfactionOnGraph) {
   g.SetAttr(a, "k", Value(5));
   NodeId b = g.AddNode("n");
   g.SetAttr(b, "m", Value(5));
+  const FrozenGraph f = FrozenGraph::Freeze(g);
   Match h = {a, b};
-  EXPECT_TRUE(SatisfiesLiteral(g, h, Literal::Const(0, Sym("k"), Value(5))));
-  EXPECT_FALSE(SatisfiesLiteral(g, h, Literal::Const(0, Sym("k"), Value(6))));
+  EXPECT_TRUE(SatisfiesLiteral(f, h, Literal::Const(0, Sym("k"), Value(5))));
+  EXPECT_FALSE(SatisfiesLiteral(f, h, Literal::Const(0, Sym("k"), Value(6))));
   // Missing attribute: not satisfied.
-  EXPECT_FALSE(SatisfiesLiteral(g, h, Literal::Const(1, Sym("k"), Value(5))));
+  EXPECT_FALSE(SatisfiesLiteral(f, h, Literal::Const(1, Sym("k"), Value(5))));
   EXPECT_TRUE(
-      SatisfiesLiteral(g, h, Literal::Var(0, Sym("k"), 1, Sym("m"))));
+      SatisfiesLiteral(f, h, Literal::Var(0, Sym("k"), 1, Sym("m"))));
   EXPECT_FALSE(
-      SatisfiesLiteral(g, h, Literal::Var(0, Sym("k"), 1, Sym("zz"))));
-  EXPECT_FALSE(SatisfiesLiteral(g, h, Literal::Id(0, 1)));
-  EXPECT_TRUE(SatisfiesLiteral(g, {a, a}, Literal::Id(0, 1)));
+      SatisfiesLiteral(f, h, Literal::Var(0, Sym("k"), 1, Sym("zz"))));
+  EXPECT_FALSE(SatisfiesLiteral(f, h, Literal::Id(0, 1)));
+  EXPECT_TRUE(SatisfiesLiteral(f, {a, a}, Literal::Id(0, 1)));
 }
 
 TEST(Ged, Phi1DetectsWrongCreator) {
@@ -59,10 +61,10 @@ TEST(Ged, Phi1DetectsWrongCreator) {
   Graph good = CreatorGraph("video game", "programmer");
   Graph other = CreatorGraph("book", "psychologist");  // X not satisfied
   Ged phi1 = Phi1();
-  EXPECT_FALSE(Satisfies(bad, phi1));
-  EXPECT_TRUE(Satisfies(good, phi1));
-  EXPECT_TRUE(Satisfies(other, phi1));
-  EXPECT_EQ(FindViolations(bad, phi1).size(), 1u);
+  EXPECT_FALSE(Validate(bad, {phi1}).satisfied);
+  EXPECT_TRUE(Validate(good, {phi1}).satisfied);
+  EXPECT_TRUE(Validate(other, {phi1}).satisfied);
+  EXPECT_EQ(Validate(bad, {phi1}).violations.size(), 1u);
 }
 
 TEST(Ged, MissingAttributeInXMeansTriviallySatisfied) {
@@ -75,7 +77,7 @@ TEST(Ged, MissingAttributeInXMeansTriviallySatisfied) {
   NodeId product = g2.AddNode("product");
   NodeId person = g2.AddNode("person");
   g2.AddEdge(person, "create", product);
-  EXPECT_TRUE(Satisfies(g2, Phi1()));
+  EXPECT_TRUE(Validate(g2, {Phi1()}).satisfied);
   (void)no_type;
 }
 
@@ -89,11 +91,11 @@ TEST(Ged, MissingAttributeInYMeansViolation) {
   ASSERT_TRUE(r.ok());
   Graph g;
   g.AddNode("t");
-  EXPECT_FALSE(Satisfies(g, r.value()));  // attribute absent
+  EXPECT_FALSE(Validate(g, {r.value()}).satisfied);  // attribute absent
   Graph g2;
   NodeId v = g2.AddNode("t");
   g2.SetAttr(v, "a", Value(1));
-  EXPECT_TRUE(Satisfies(g2, r.value()));
+  EXPECT_TRUE(Validate(g2, {r.value()}).satisfied);
 }
 
 TEST(Ged, ForbiddingGedViolatedByAnyMatchSatisfyingX) {
@@ -102,9 +104,9 @@ TEST(Ged, ForbiddingGedViolatedByAnyMatchSatisfyingX) {
   NodeId a = g.AddNode("person");
   NodeId b = g.AddNode("person");
   g.AddEdge(a, "child", b);
-  EXPECT_TRUE(Satisfies(g, phi4));
+  EXPECT_TRUE(Validate(g, {phi4}).satisfied);
   g.AddEdge(a, "parent", b);
-  EXPECT_FALSE(Satisfies(g, phi4));
+  EXPECT_FALSE(Validate(g, {phi4}).satisfied);
 }
 
 TEST(Ged, ClassificationFlags) {
@@ -171,11 +173,11 @@ TEST(Ged, GkeyViaIsomorphismIsVacuous) {
   g.AddEdge(a1, "by", artist);
   g.AddEdge(a2, "by", artist);
   // Homomorphism: x' and y' can both map to the artist — violation found.
-  EXPECT_FALSE(FindViolations(g, psi1).empty());
+  EXPECT_FALSE(Validate(g, {psi1}).satisfied);
   // Isomorphism: x' ≠ y' forced, X (x'.id = y'.id) never satisfied.
-  MatchOptions iso;
+  ValidationOptions iso;
   iso.semantics = MatchSemantics::kIsomorphism;
-  EXPECT_TRUE(FindViolations(g, psi1, 0, iso).empty());
+  EXPECT_TRUE(Validate(g, {psi1}, iso).satisfied);
 }
 
 TEST(Canonical, UnionOfPatternsWithOffsets) {

@@ -51,16 +51,6 @@ TEST(Graph, AdjacencyIsIndexed) {
   EXPECT_TRUE(g.HasEdge(b, kWildcard, a));  // wildcard = any label
 }
 
-TEST(Graph, LabelIndex) {
-  Graph g;
-  g.AddNode("a");
-  g.AddNode("b");
-  g.AddNode("a");
-  EXPECT_EQ(g.NodesWithLabel(Sym("a")).size(), 2u);
-  EXPECT_EQ(g.NodesWithLabel(Sym("b")).size(), 1u);
-  EXPECT_TRUE(g.NodesWithLabel(Sym("zzz")).empty());
-}
-
 TEST(Graph, DisjointUnionOffsetsIds) {
   Graph g1;
   NodeId a = g1.AddNode("x");
@@ -73,28 +63,6 @@ TEST(Graph, DisjointUnionOffsetsIds) {
   EXPECT_EQ(offset, 1u);
   EXPECT_EQ(g1.NumNodes(), 3u);
   EXPECT_TRUE(g1.HasEdge(offset + b, Sym("e"), offset + c));
-}
-
-TEST(Graph, LabelIndexStaysConsistentAcrossMutation) {
-  // Regression: querying an absent label must not disturb the index, and
-  // the index must reflect mutations that happen after a query (the old
-  // lazily-rebuilt index could serve stale or freshly-clobbered state).
-  Graph g;
-  const std::vector<NodeId>& absent = g.NodesWithLabel(Sym("ghost"));
-  EXPECT_TRUE(absent.empty());
-  NodeId a = g.AddNode("ghost");  // the queried label materializes
-  EXPECT_EQ(g.NodesWithLabel(Sym("ghost")), std::vector<NodeId>{a});
-  // Interleave queries and mutations.
-  NodeId b = g.AddNode("solid");
-  EXPECT_EQ(g.NodesWithLabel(Sym("solid")), std::vector<NodeId>{b});
-  NodeId c = g.AddNode("ghost");
-  EXPECT_EQ(g.NodesWithLabel(Sym("ghost")), (std::vector<NodeId>{a, c}));
-  // Repeated absent-label queries return the same stable empty vector and
-  // never insert into the index.
-  const std::vector<NodeId>& e1 = g.NodesWithLabel(Sym("nope"));
-  const std::vector<NodeId>& e2 = g.NodesWithLabel(Sym("still nope"));
-  EXPECT_EQ(&e1, &e2);
-  EXPECT_TRUE(e1.empty());
 }
 
 TEST(Graph, SetAttrReportsChange) {

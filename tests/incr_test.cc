@@ -175,12 +175,17 @@ TEST(GraphDelta, LastAttrWriteWins) {
 
 // ----- EnumerateMatchesTouching ---------------------------------------------
 
-// Oracle: matches of q binding at least one touched node, via full
-// enumeration plus filter.
+// Oracle: matches of q binding at least one touched node, via the reference
+// validator's full enumeration plus filter.
 std::vector<Match> TouchingOracle(const Pattern& q, const Graph& g,
                                   const std::vector<NodeId>& touched) {
+  std::vector<Match> all;
+  reference::ForEachMatch(q, g, /*injective=*/false,
+                          [&](const std::vector<NodeId>& h) {
+                            all.push_back(h);
+                          });
   std::vector<Match> out;
-  for (const Match& h : AllMatches(q, g)) {
+  for (const Match& h : all) {
     bool touches = false;
     for (NodeId v : h) {
       if (std::binary_search(touched.begin(), touched.end(), v)) {
@@ -205,6 +210,7 @@ TEST(EnumerateMatchesTouching, EqualsFilteredFullEnumeration) {
   VarId z = q.AddVar("z", GenNodeLabel(1));
   q.AddEdge(x, GenEdgeLabel(0), y);
   q.AddEdge(y, GenEdgeLabel(1), z);
+  const FrozenGraph f = FrozenGraph::Freeze(g);
 
   std::mt19937 rng(17);
   for (int round = 0; round < 10; ++round) {
@@ -213,7 +219,7 @@ TEST(EnumerateMatchesTouching, EqualsFilteredFullEnumeration) {
       if (rng() % 5 == 0) touched.push_back(v);
     }
     std::vector<Match> got;
-    EnumerateMatchesTouching(q, g, touched, {}, [&](const Match& h) {
+    EnumerateMatchesTouching(q, f, touched, {}, [&](const Match& h) {
       got.push_back(h);
       return true;
     });
@@ -236,10 +242,11 @@ TEST(EnumerateMatchesTouching, EmptyTouchedOrPatternYieldsNothing) {
     ++calls;
     return true;
   };
-  EnumerateMatchesTouching(q, g, {}, {}, count);
+  const FrozenGraph f = FrozenGraph::Freeze(g);
+  EnumerateMatchesTouching(q, f, {}, {}, count);
   EXPECT_EQ(calls, 0u);
   Pattern empty;
-  EnumerateMatchesTouching(empty, g, {0}, {}, count);
+  EnumerateMatchesTouching(empty, f, {0}, {}, count);
   EXPECT_EQ(calls, 0u);
 }
 
@@ -252,7 +259,8 @@ TEST(EnumerateMatchesTouching, HonorsMaxMatchesOnDeliveredMatches) {
   MatchOptions opts;
   opts.max_matches = 3;
   uint64_t calls = 0;
-  MatchStats stats = EnumerateMatchesTouching(q, g, touched, opts,
+  MatchStats stats = EnumerateMatchesTouching(q, FrozenGraph::Freeze(g),
+                                              touched, opts,
                                               [&](const Match&) {
                                                 ++calls;
                                                 return true;
@@ -478,8 +486,11 @@ TEST(IncrementalValidator, RejectsDeltaRecordedBeforeAnEdgeOnlyCommit) {
   // The epoch stamp minted by NewDelta() must reject it cleanly.
   KbInstance kb = GenKnowledgeBase(KbParams{});
   IncrementalValidator v(kb.graph, Example1Geds());
-  std::vector<NodeId> people = v.graph().NodesWithLabel(Sym("person"));
-  std::vector<NodeId> products = v.graph().NodesWithLabel(Sym("product"));
+  std::vector<NodeId> people, products;
+  for (NodeId n = 0; n < v.graph().NumNodes(); ++n) {
+    if (v.graph().label(n) == Sym("person")) people.push_back(n);
+    if (v.graph().label(n) == Sym("product")) products.push_back(n);
+  }
   ASSERT_GE(people.size(), 2u);
   ASSERT_GE(products.size(), 2u);
   // A creator pair the generator did not wire up (person 0 did not create
@@ -570,7 +581,6 @@ TEST(IncrementalValidator, IntersectionEngagesOnOverlayCommits) {
   ObsSession session;
   ValidationOptions opts;
   opts.obs = session.Options();
-  opts.policy.snapshot = SnapshotMode::kNever;  // initial pass off the CSR
   DenseInstance dense = GenDenseCommunity(dp);
   IncrementalValidator v(dense.graph, DenseCliqueGeds(), opts);
   auto lf_rounds = [&session]() {

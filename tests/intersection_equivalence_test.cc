@@ -2,8 +2,9 @@
 // k-way leapfrog intersection (MatchOptions::join, leapfrog by default on
 // CSR snapshots) must be *observationally identical* to the legacy
 // pick-smallest-list path — same match sets, same violation reports, same
-// matches_checked — across both read backends, both semantics, serial and
-// parallel. Plus unit tests pinning the
+// matches_checked, each also equal to the reference validator's
+// (tests/reference/) — across both semantics, serial and parallel. Plus
+// unit tests pinning the
 // gallop/leapfrog kernel itself on adversarial inputs: empty ranges,
 // disjoint ranges, duplicates across labels, self-loops.
 
@@ -26,6 +27,7 @@
 #include "match/matcher.h"
 #include "plan/plan.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -128,9 +130,31 @@ std::vector<Match> SortedMatches(const Pattern& q, const FrozenGraph& f,
   return ms;
 }
 
+// The reference validator's sorted match set of q in g, kept to the
+// matches honoring the pins and candidate restrictions of `opts`.
+std::vector<Match> ReferenceMatches(const Pattern& q, const Graph& g,
+                                    const MatchOptions& opts) {
+  std::vector<Match> ms;
+  reference::ForEachMatch(
+      q, g, Injective(opts.semantics), [&](const std::vector<NodeId>& h) {
+        for (const auto& [x, v] : opts.pinned) {
+          if (h[x] != v) return;
+        }
+        for (const auto& [x, allowed] : opts.restricted) {
+          if (std::find(allowed.begin(), allowed.end(), h[x]) ==
+              allowed.end()) {
+            return;
+          }
+        }
+        ms.push_back(h);
+      });
+  std::sort(ms.begin(), ms.end());
+  return ms;
+}
+
 // Intersection and legacy candidate generation must agree on the match set
-// against the frozen backend, and both must agree with the mutable graph
-// (whose scans are always legacy-shaped).
+// against the snapshot, and both must agree with the reference validator
+// reading the source graph.
 void ExpectSameMatches(const Pattern& q, const Graph& g,
                        const std::string& what,
                        const MatchOptions& base = {}) {
@@ -141,9 +165,8 @@ void ExpectSameMatches(const Pattern& q, const Graph& g,
     std::vector<Match> with = SortedMatches(q, f, opts, true);
     std::vector<Match> without = SortedMatches(q, f, opts, false);
     EXPECT_EQ(with, without) << what << " [" << sem.name << "]";
-    std::vector<Match> mutable_ms = AllMatches(q, g, opts);
-    std::sort(mutable_ms.begin(), mutable_ms.end());
-    EXPECT_EQ(with, mutable_ms) << what << " vs mutable [" << sem.name << "]";
+    EXPECT_EQ(with, ReferenceMatches(q, g, opts))
+        << what << " vs reference [" << sem.name << "]";
   }
 }
 
@@ -280,29 +303,29 @@ TEST(IntersectionEquivalence, TouchingEnumerationAgrees) {
 
 // ----- validation differential: full pipeline -------------------------------
 
-// Violation reports and matches_checked through every (backend,
-// thread-count) corner must not depend on the candidate generator.
+// Violation reports and matches_checked at every thread count must not
+// depend on the candidate generator, and must equal the reference's.
 void ExpectSameReports(const Graph& g, const std::vector<Ged>& sigma,
                        const std::string& what) {
   FrozenGraph f = FrozenGraph::Freeze(g);
   for (const SemanticsCase& sem : kSemantics) {
+    reference::RefReport ref =
+        reference::Validate(g, sigma, Injective(sem.semantics));
     for (unsigned threads : {1u, 4u}) {
       ValidationOptions opts;
       opts.semantics = sem.semantics;
       opts.num_threads = threads;
-      opts.policy.snapshot = SnapshotMode::kNever;
       opts.policy.join = JoinStrategy::kAuto;
       ValidationReport with = Validate(f, sigma, opts);
       opts.policy.join = JoinStrategy::kPickSmallest;
       ValidationReport without = Validate(f, sigma, opts);
-      ValidationReport mutable_report = Validate(g, sigma, opts);
       std::string ctx = what + " [" + sem.name +
                         ", threads=" + std::to_string(threads) + "]";
       EXPECT_EQ(with.satisfied, without.satisfied) << ctx;
       EXPECT_EQ(with.violations, without.violations) << ctx;
       EXPECT_EQ(with.matches_checked, without.matches_checked) << ctx;
-      EXPECT_EQ(with.violations, mutable_report.violations) << ctx;
-      EXPECT_EQ(with.matches_checked, mutable_report.matches_checked) << ctx;
+      EXPECT_EQ(RefRows(with.violations), ref.violations) << ctx;
+      EXPECT_EQ(with.matches_checked, ref.matches_checked) << ctx;
     }
   }
 }

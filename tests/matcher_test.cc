@@ -1,9 +1,10 @@
 // Unit tests for the homomorphism / isomorphism matcher, including the
 // paper's §3 argument that isomorphism is too strict for GKeys.
 //
-// Every case runs against both read backends — the mutable Graph and its
-// FrozenGraph CSR snapshot — through the parametrized fixture below: the
-// matcher must deliver identical results no matter which one serves reads.
+// Every case runs under both candidate generators — the k-way leapfrog
+// join and the pick-smallest-list scan — over the FrozenGraph CSR snapshot
+// of its graph, through the parametrized fixture below: the matcher must
+// deliver identical results no matter which one generates candidates.
 
 #include <gtest/gtest.h>
 
@@ -19,44 +20,44 @@
 namespace ged {
 namespace {
 
-enum class Backend { kMutable, kFrozen };
-
-class MatcherTest : public ::testing::TestWithParam<Backend> {
+class MatcherTest : public ::testing::TestWithParam<JoinStrategy> {
  protected:
-  bool frozen() const { return GetParam() == Backend::kFrozen; }
+  MatchOptions Join(MatchOptions opts) const {
+    opts.join = GetParam();
+    return opts;
+  }
 
   uint64_t Count(const Pattern& q, const Graph& g,
                  const MatchOptions& opts = {}) const {
-    return frozen() ? CountMatches(q, FrozenGraph::Freeze(g), opts)
-                    : CountMatches(q, g, opts);
+    return CountMatches(q, FrozenGraph::Freeze(g), Join(opts));
   }
 
   std::vector<Match> All(const Pattern& q, const Graph& g,
                          const MatchOptions& opts = {}) const {
-    return frozen() ? AllMatches(q, FrozenGraph::Freeze(g), opts)
-                    : AllMatches(q, g, opts);
+    return AllMatches(q, FrozenGraph::Freeze(g), Join(opts));
   }
 
   MatchStats Enumerate(const Pattern& q, const Graph& g,
                        const MatchOptions& opts,
                        const MatchCallback& cb) const {
-    return frozen() ? EnumerateMatches(q, FrozenGraph::Freeze(g), opts, cb)
-                    : EnumerateMatches(q, g, opts, cb);
+    return EnumerateMatches(q, FrozenGraph::Freeze(g), Join(opts), cb);
   }
 
+  // IsValidMatch reads the mutable Graph too; both must agree.
   bool Valid(const Pattern& q, const Graph& g, const Match& h) const {
-    return frozen() ? IsValidMatch(q, FrozenGraph::Freeze(g), h)
-                    : IsValidMatch(q, g, h);
+    bool valid = IsValidMatch(q, FrozenGraph::Freeze(g), h);
+    EXPECT_EQ(valid, IsValidMatch(q, g, h));
+    return valid;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, MatcherTest,
-                         ::testing::Values(Backend::kMutable,
-                                           Backend::kFrozen),
+INSTANTIATE_TEST_SUITE_P(Joins, MatcherTest,
+                         ::testing::Values(JoinStrategy::kAuto,
+                                           JoinStrategy::kPickSmallest),
                          [](const auto& info) {
-                           return info.param == Backend::kMutable
-                                      ? "MutableGraph"
-                                      : "FrozenGraph";
+                           return info.param == JoinStrategy::kAuto
+                                      ? "Leapfrog"
+                                      : "PickSmallest";
                          });
 
 Graph PathGraph(int n, const char* label, const char* edge) {

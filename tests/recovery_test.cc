@@ -19,6 +19,7 @@
 #include "ged/ged.h"
 #include "incr/incremental.h"
 #include "incr/wal.h"
+#include "obs/metrics.h"
 #include "reason/validation.h"
 
 namespace ged {
@@ -137,6 +138,63 @@ TEST_F(RecoveryTest, CleanShutdownRecoversExactly) {
   auto oracle = BuildOracle(kSteps);
   EXPECT_TRUE(recovered.value()->graph() == oracle->graph());
   ExpectReportsEqual(recovered.value()->report(), oracle->report());
+}
+
+// One delta of hub/spoke nodes wired among themselves: well past 4096
+// nodes + edges.
+GraphDelta LargeDelta(const IncrementalValidator& v) {
+  GraphDelta d = v.NewDelta();
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 1400; ++i) {
+    ids.push_back(d.AddNode(i % 3 == 0 ? "hub" : "spoke"));
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t k = 1; k <= 3; ++k) {
+      d.AddEdge(ids[i], "link", ids[(i + 7 * k) % ids.size()]);
+    }
+  }
+  return d;
+}
+
+uint64_t FreezeRuns(const MetricsRegistry& registry) {
+  return registry.Snapshot()
+      .metrics[static_cast<size_t>(EngineMetric::kFreezeRuns)]
+      .value;
+}
+
+// Create and Recover freeze the graph once: the overlay base is also the
+// snapshot the seeding validation reads.
+TEST_F(RecoveryTest, CreateAndRecoverFreezeTheGraphOnce) {
+  ValidationOptions opts = DurableOptions(dir_, /*refreeze_cutoff=*/0);
+  opts.durability.fsync = DurabilityOptions::Fsync::kNone;
+  Graph large;
+  {
+    auto v = IncrementalValidator::Create(Graph(), TestSigma(), opts);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_TRUE(v.value()->Commit(LargeDelta(*v.value())).ok());
+    large = v.value()->graph();
+  }
+  ASSERT_GE(large.Size(), 4096u);
+
+  MetricsRegistry created;
+  ValidationOptions plain;
+  plain.obs.enabled = true;
+  plain.obs.metrics = &created;
+  auto v = IncrementalValidator::Create(large, TestSigma(), plain);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(FreezeRuns(created), 1u);
+
+  MetricsRegistry recovered_metrics;
+  opts.obs.enabled = true;
+  opts.obs.metrics = &recovered_metrics;
+  auto recovered = IncrementalValidator::Recover(TestSigma(), opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered.value()->graph() == large);
+  EXPECT_EQ(FreezeRuns(recovered_metrics), 1u);
+  // The report seeded from the overlay base is the full validation's.
+  ExpectReportsEqual(recovered.value()->report(),
+                     recovered.value()->RevalidateFull());
+  ExpectReportsEqual(v.value()->report(), v.value()->RevalidateFull());
 }
 
 TEST_F(RecoveryTest, CheckpointPlusSuffixReplay) {

@@ -48,9 +48,9 @@ TEST(TranslateFd, DeptDeterminesMgr) {
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   EXPECT_TRUE(fd.value().IsGfdx());  // plain FDs carry only variable literals
   Graph ok_graph = RelationsToGraph({SampleEmp(false)});
-  EXPECT_TRUE(Satisfies(ok_graph, fd.value()));
+  EXPECT_TRUE(Validate(ok_graph, {fd.value()}).satisfied);
   Graph bad_graph = RelationsToGraph({SampleEmp(true)});
-  EXPECT_FALSE(Satisfies(bad_graph, fd.value()));
+  EXPECT_FALSE(Validate(bad_graph, {fd.value()}).satisfied);
 }
 
 TEST(TranslateFd, UnknownAttributeFails) {
@@ -64,13 +64,13 @@ TEST(TranslateCfd, ConstantPatternScopesTheRule) {
                           {"mgr", Value("max")}, "cfd_db_mgr");
   ASSERT_TRUE(cfd.ok()) << cfd.status().ToString();
   Graph g = RelationsToGraph({SampleEmp(false)});
-  EXPECT_TRUE(Satisfies(g, cfd.value()));
+  EXPECT_TRUE(Validate(g, {cfd.value()}).satisfied);
   // Break it: a db employee with another manager.
   Relation r = SampleEmp(false);
   ASSERT_TRUE(
       r.AddTuple({Value("eli"), Value("db"), Value("zoe"), Value(60)}).ok());
   Graph bad = RelationsToGraph({r});
-  EXPECT_FALSE(Satisfies(bad, cfd.value()));
+  EXPECT_FALSE(Validate(bad, {cfd.value()}).satisfied);
 }
 
 TEST(TranslateEgd, PairOfGeds) {
@@ -90,11 +90,11 @@ TEST(TranslateEgd, PairOfGeds) {
   EXPECT_EQ(phi_r.Y().size(), 8u);
   // φ_E detects the violation.
   Graph bad = RelationsToGraph({SampleEmp(true)});
-  EXPECT_FALSE(Satisfies(bad, phi_e));
+  EXPECT_FALSE(Validate(bad, {phi_e}).satisfied);
   Graph good = RelationsToGraph({SampleEmp(false)});
-  EXPECT_TRUE(Satisfies(good, phi_e));
+  EXPECT_TRUE(Validate(good, {phi_e}).satisfied);
   // φ_R holds on fully-populated relations.
-  EXPECT_TRUE(Satisfies(good, phi_r));
+  EXPECT_TRUE(Validate(good, {phi_r}).satisfied);
 }
 
 TEST(TranslateDenial, SalaryInversion) {
@@ -110,9 +110,9 @@ TEST(TranslateDenial, SalaryInversion) {
   ASSERT_TRUE(gdc.ok()) << gdc.status().ToString();
   EXPECT_TRUE(gdc.value().is_forbidding());
   Graph good = RelationsToGraph({SampleEmp(false)});
-  EXPECT_TRUE(ValidateGdcs(good, {gdc.value()}));
+  EXPECT_TRUE(ValidateGdcs(FrozenGraph::Freeze(good), {gdc.value()}));
   Graph bad = RelationsToGraph({SampleEmp(true)});
-  EXPECT_FALSE(ValidateGdcs(bad, {gdc.value()}));
+  EXPECT_FALSE(ValidateGdcs(FrozenGraph::Freeze(bad), {gdc.value()}));
 }
 
 TEST(TranslateDenial, ConstantPredicate) {
@@ -123,7 +123,8 @@ TEST(TranslateDenial, ConstantPredicate) {
   auto gdc = TranslateDenial({EmpSchema()}, atoms, preds, "dc_cap");
   ASSERT_TRUE(gdc.ok());
   Graph g = RelationsToGraph({SampleEmp(false)});
-  EXPECT_FALSE(ValidateGdcs(g, {gdc.value()}));  // ann earns 100 > 95
+  // ann earns 100 > 95
+  EXPECT_FALSE(ValidateGdcs(FrozenGraph::Freeze(g), {gdc.value()}));
 }
 
 }  // namespace
