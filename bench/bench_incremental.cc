@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "gen/scenarios.h"
+#include "graph/io.h"
 #include "incr/delta.h"
 #include "incr/incremental.h"
 #include "obs/exporter.h"
@@ -578,10 +580,134 @@ BENCHMARK(BM_OverlayCommit_Cards)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
 
+// ----- restart (BM_Recover) ---------------------------------------------------
+//
+// IncrementalValidator::Recover of a durable CARDS directory: one
+// checkpoint (graph plus live report) followed by a WAL suffix of
+// {0, 4, 16} release waves. Args: {packages, suffix waves}; the package
+// count sets the checkpoint size. The directory is built once per row and
+// copied afresh before every timed Recover (the copy is untimed), so every
+// iteration restarts from identical bytes. Counters: `records_replayed`
+// (WAL suffix), `rows_loaded` (violations seeded from the checkpoint),
+// `matches_checked` (matches the suffix replay inspected — the recovered
+// report's count minus the checkpoint's), `violations` (the recovered live
+// report) and `checkpoint_bytes`. A recovery that falls back to full
+// validation is an error, not a slow row.
+void BM_Recover(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  CardsParams cp;
+  cp.num_packages = static_cast<size_t>(state.range(0));
+  cp.revisions_per_package = 8;
+  cp.deps_per_revision = 8;
+  cp.core_packages = 8;
+  const int suffix = static_cast<int>(state.range(1));
+  CardsInstance cards = GenCardsBase(cp);
+
+  char tmpl[] = "/tmp/gedlib_bench_recover_XXXXXX";
+  const char* made = mkdtemp(tmpl);
+  if (made == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  const std::string root = made;
+  const std::string pristine = root + "/pristine", work = root + "/work";
+  ValidationOptions opts;
+  opts.durability.dir = pristine;
+  opts.durability.fsync = DurabilityOptions::Fsync::kNone;
+  std::mt19937 rng(42);
+  std::string error;
+  {
+    // Cutoff 1: the first wave's re-freeze writes the checkpoint.
+    opts.overlay_refreeze_cutoff = 1;
+    Result<std::unique_ptr<IncrementalValidator>> v =
+        IncrementalValidator::Create(WithHeadroom(cards.graph), CardsGeds(),
+                                     opts);
+    if (!v.ok() ||
+        !v.value()->Commit(MakeCardsRelease(v.value()->graph(), cards, cp,
+                                            &rng))
+             .ok()) {
+      error = "set-up commit failed";
+    } else {
+      v.value()->FinishRefreeze();
+      if (v.value()->checkpoints_written() != 1) error = "no checkpoint";
+    }
+  }
+  if (error.empty()) {
+    // Cutoff 0: the suffix waves reach the WAL only.
+    opts.overlay_refreeze_cutoff = 0;
+    Result<std::unique_ptr<IncrementalValidator>> v =
+        IncrementalValidator::Recover(CardsGeds(), opts);
+    for (int w = 0; v.ok() && w < suffix && error.empty(); ++w) {
+      if (!v.value()->Commit(MakeCardsRelease(v.value()->graph(), cards, cp,
+                                               &rng))
+               .ok()) {
+        error = "suffix commit failed";
+      }
+    }
+    if (!v.ok()) error = "set-up recover failed";
+  }
+  std::vector<CheckpointInfo> checkpoints = ListCheckpoints(pristine);
+  uint64_t checkpoint_checked = 0, checkpoint_bytes = 0;
+  if (error.empty() && checkpoints.size() == 1) {
+    const std::string path = pristine + "/" + checkpoints[0].name;
+    Result<Checkpoint> loaded = LoadCheckpoint(path);
+    if (loaded.ok() && loaded.value().report.has_value()) {
+      checkpoint_checked = loaded.value().report->matches_checked;
+      checkpoint_bytes = fs::file_size(path);
+    } else {
+      error = "checkpoint without report";
+    }
+  } else if (error.empty()) {
+    error = "expected exactly one checkpoint";
+  }
+
+  IncrementalValidator::RecoveryStats rs;
+  uint64_t checked = 0;
+  size_t violations = 0;
+  for (auto _ : state) {
+    if (!error.empty()) break;
+    std::error_code ec;
+    fs::remove_all(work, ec);
+    fs::copy(pristine, work, fs::copy_options::recursive, ec);
+    ValidationOptions recover_opts;
+    recover_opts.durability.dir = work;
+    auto start = std::chrono::steady_clock::now();
+    Result<std::unique_ptr<IncrementalValidator>> v =
+        IncrementalValidator::Recover(CardsGeds(), recover_opts, &rs);
+    auto end = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+    if (!v.ok() || !rs.report_from_checkpoint) {
+      error = v.ok() ? "recovery fell back to full validation"
+                     : v.status().ToString();
+      break;
+    }
+    checked = v.value()->report().matches_checked - checkpoint_checked;
+    violations = v.value()->report().violations.size();
+  }
+  std::error_code ec;
+  fs::remove_all(root, ec);
+  if (!error.empty()) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  state.counters["records_replayed"] =
+      static_cast<double>(rs.wal_records_replayed);
+  state.counters["rows_loaded"] = static_cast<double>(rs.report_rows_loaded);
+  state.counters["matches_checked"] = static_cast<double>(checked);
+  state.counters["violations"] = static_cast<double>(violations);
+  state.counters["checkpoint_bytes"] = static_cast<double>(checkpoint_bytes);
+}
+
+BENCHMARK(BM_Recover)
+    ->ArgsProduct({{32, 64}, {0, 4, 16}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseManualTime();
+
 // --profile mode: one validator lifetime under an ObsSession — the seeding
 // full Validate() plus a burst of KB commits — so the trace shows the
-// Validate span followed by Commit{SeedTouching, SeedEdges, Reconcile}
-// spans, and the EXPLAIN table rolls up every touched-region re-scan.
+// Validate span followed by DeltaCheck and Commit{GraphApply, OverlayApply,
+// SeedTouching, SeedEdges, Reconcile} spans, and the EXPLAIN table rolls up
+// every touched-region re-scan.
 void RunProfiledIncremental(const std::string& base) {
   constexpr int kCommits = 32;
   KbInstance kb = GenKnowledgeBase(KbAtScale(400));

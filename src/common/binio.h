@@ -39,6 +39,28 @@ inline void PutU64(std::string* out, uint64_t v) {
   }
 }
 
+/// Fixed-width stores into a pre-sized buffer (`p` must have room); each
+/// returns the position after the bytes written. For bulk encoders that
+/// size their output once instead of appending field by field.
+inline char* StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p + 4;
+}
+
+inline char* StoreU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p + 8;
+}
+
+/// The u32 stored at `p` (4 readable bytes).
+inline uint32_t LoadU32(const char* p) {
+  uint32_t r = 0;
+  for (int i = 0; i < 4; ++i) {
+    r |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return r;
+}
+
 /// u32 length prefix + raw bytes.
 inline void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
@@ -79,6 +101,15 @@ class Reader {
     return true;
   }
 
+  /// The next `n` bytes, raw (for bulk decoders: check the size once, then
+  /// LoadU32 field by field).
+  bool GetBytes(size_t n, std::string_view* bytes) {
+    if (remaining() < n) return false;
+    *bytes = data_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   bool GetU8(uint8_t* v) {
     if (remaining() < 1) return false;
     *v = static_cast<uint8_t>(data_[pos_++]);
@@ -87,13 +118,8 @@ class Reader {
 
   bool GetU32(uint32_t* v) {
     if (remaining() < 4) return false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    *v = LoadU32(data_.data() + pos_);
     pos_ += 4;
-    *v = r;
     return true;
   }
 

@@ -152,13 +152,14 @@ bool SatisfiesGdcLiteralT(const GView& g, const Match& h,
                           const GdcLiteral& l) {
   switch (l.kind) {
     case GdcLiteral::Kind::kConstPred: {
-      auto v = g.attr(h[l.x], l.a);
-      return v.has_value() && EvalPred(l.op, *v, l.c);
+      const Value* v = g.FindAttr(h[l.x], l.a);
+      return v != nullptr && EvalPred(l.op, *v, l.c);
     }
     case GdcLiteral::Kind::kVarPred: {
-      auto va = g.attr(h[l.x], l.a);
-      auto vb = g.attr(h[l.y], l.b);
-      return va.has_value() && vb.has_value() && EvalPred(l.op, *va, *vb);
+      const Value* va = g.FindAttr(h[l.x], l.a);
+      if (va == nullptr) return false;
+      const Value* vb = g.FindAttr(h[l.y], l.b);
+      return vb != nullptr && EvalPred(l.op, *va, *vb);
     }
     case GdcLiteral::Kind::kId:
       return h[l.x] == h[l.y];

@@ -40,18 +40,20 @@ std::string Literal::ToString() const { return Render(nullptr, *this); }
 namespace {
 
 // Shared across backends: only attribute lookup differs (columnar binary
-// search on FrozenGraph, the side index first on OverlayView).
+// search on FrozenGraph, the side index first on OverlayView). Values are
+// compared in place, never copied out of the graph.
 template <GraphView GView>
 bool SatisfiesLiteralT(const GView& g, const Match& h, const Literal& l) {
   switch (l.kind) {
     case LiteralKind::kConst: {
-      auto v = g.attr(h[l.x], l.a);
-      return v.has_value() && *v == l.c;
+      const Value* v = g.FindAttr(h[l.x], l.a);
+      return v != nullptr && *v == l.c;
     }
     case LiteralKind::kVar: {
-      auto va = g.attr(h[l.x], l.a);
-      auto vb = g.attr(h[l.y], l.b);
-      return va.has_value() && vb.has_value() && *va == *vb;
+      const Value* va = g.FindAttr(h[l.x], l.a);
+      if (va == nullptr) return false;
+      const Value* vb = g.FindAttr(h[l.y], l.b);
+      return vb != nullptr && *va == *vb;
     }
     case LiteralKind::kId:
       return h[l.x] == h[l.y];

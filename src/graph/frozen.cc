@@ -266,10 +266,16 @@ std::span<const NodeId> FrozenGraph::NodesWithLabel(Label label) const {
 }
 
 std::optional<Value> FrozenGraph::attr(NodeId v, AttrId a) const {
+  const Value* value = FindAttr(v, a);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const Value* FrozenGraph::FindAttr(NodeId v, AttrId a) const {
   std::span<const AttrId> keys = AttrNames(v);
   auto it = std::lower_bound(keys.begin(), keys.end(), a);
-  if (it == keys.end() || *it != a) return std::nullopt;
-  return attr_values_[attr_offsets_[v] + (it - keys.begin())];
+  if (it == keys.end() || *it != a) return nullptr;
+  return &attr_values_[attr_offsets_[v] + (it - keys.begin())];
 }
 
 bool FrozenGraph::HasAttr(NodeId v, AttrId a) const {

@@ -2,9 +2,9 @@
 //
 // The mutable Graph (graph/graph.h) stores per-node heap-allocated
 // adjacency vectors and a global hash set for edge dedup — the right shape
-// for ingest and for the listener hooks of incr/, but hostile to the
-// cache-bound scans that dominate homomorphism matching. Freezing compiles
-// the graph into compressed-sparse-row (CSR) form:
+// for ingest, but hostile to the cache-bound scans that dominate
+// homomorphism matching. Freezing compiles the graph into
+// compressed-sparse-row (CSR) form:
 //
 //   * out/in adjacency      — one offset array + one contiguous Edge array
 //                             per direction; each node's range is sorted by
@@ -162,6 +162,9 @@ class FrozenGraph {
 
   /// Value of v.A if present: binary search in v's columnar key range.
   std::optional<Value> attr(NodeId v, AttrId a) const;
+  /// The same lookup, borrowed: a pointer into the snapshot's value column
+  /// (null if absent), valid as long as the snapshot.
+  const Value* FindAttr(NodeId v, AttrId a) const;
   bool HasAttr(NodeId v, AttrId a) const;
   /// The columnar attribute tuple of v: parallel spans of sorted attribute
   /// ids and their values.

@@ -6,26 +6,6 @@
 
 namespace ged {
 
-Graph::Graph(const Graph& other)
-    : labels_(other.labels_),
-      attrs_(other.attrs_),
-      out_(other.out_),
-      in_(other.in_),
-      edge_set_(other.edge_set_),
-      num_edges_(other.num_edges_) {}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  labels_ = other.labels_;
-  attrs_ = other.attrs_;
-  out_ = other.out_;
-  in_ = other.in_;
-  edge_set_ = other.edge_set_;
-  num_edges_ = other.num_edges_;
-  // listeners_ intentionally untouched: they observe this instance.
-  return *this;
-}
-
 Graph::Graph(Graph&& other) noexcept
     : labels_(std::move(other.labels_)),
       attrs_(std::move(other.attrs_)),
@@ -33,7 +13,6 @@ Graph::Graph(Graph&& other) noexcept
       in_(std::move(other.in_)),
       edge_set_(std::move(other.edge_set_)),
       num_edges_(other.num_edges_) {
-  // listeners_ not transferred: they were registered on `other`.
   other.num_edges_ = 0;
 }
 
@@ -46,7 +25,6 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   edge_set_ = std::move(other.edge_set_);
   num_edges_ = other.num_edges_;
   other.num_edges_ = 0;
-  // listeners_ intentionally untouched: they observe this instance.
   return *this;
 }
 
@@ -64,10 +42,6 @@ NodeId Graph::AddNode(Label label) {
   attrs_.emplace_back();
   out_.emplace_back();
   in_.emplace_back();
-  // Index-based loop: a listener may unregister (itself or others) from
-  // inside the callback; bounds are re-checked each step so mutation of the
-  // registry never invalidates the traversal.
-  for (size_t i = 0; i < listeners_.size(); ++i) listeners_[i]->OnNodeAdded(id);
   return id;
 }
 
@@ -82,9 +56,6 @@ bool Graph::SetAttr(NodeId v, AttrId attr, Value value) {
   } else {
     tuple.insert(it, {attr, std::move(value)});
   }
-  for (size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i]->OnAttrSet(v, attr);
-  }
   return true;
 }
 
@@ -93,9 +64,6 @@ bool Graph::AddEdge(NodeId src, Label label, NodeId dst) {
   out_[src].push_back(Edge{label, dst});
   in_[dst].push_back(Edge{label, src});
   ++num_edges_;
-  for (size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i]->OnEdgeAdded(src, label, dst);
-  }
   return true;
 }
 
@@ -116,20 +84,6 @@ bool Graph::HasEdge(NodeId src, Label label, NodeId dst) const {
     if (e.other == dst) return true;
   }
   return false;
-}
-
-void Graph::AddListener(GraphListener* listener) {
-  if (listener == nullptr) return;
-  if (std::find(listeners_.begin(), listeners_.end(), listener) !=
-      listeners_.end()) {
-    return;
-  }
-  listeners_.push_back(listener);
-}
-
-void Graph::RemoveListener(GraphListener* listener) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
-                   listeners_.end());
 }
 
 NodeId Graph::DisjointUnion(const Graph& other) {

@@ -59,33 +59,13 @@ struct EdgeTriple {
   bool operator==(const EdgeTriple&) const = default;
 };
 
-/// Observer of graph mutations. Register with Graph::AddListener; callbacks
-/// fire synchronously from the mutating call, after the graph state has been
-/// updated. OnAttrSet only fires when the stored value actually changed.
-/// Listeners are bound to one graph instance: they are not carried over by
-/// copies or moves, and wholesale assignment does not emit notifications.
-/// A callback may unregister listeners (including itself); listeners added
-/// from inside a callback may or may not observe the current event.
-class GraphListener {
- public:
-  virtual ~GraphListener() = default;
-  virtual void OnNodeAdded(NodeId /*v*/) {}
-  virtual void OnEdgeAdded(NodeId /*src*/, Label /*label*/, NodeId /*dst*/) {}
-  virtual void OnAttrSet(NodeId /*v*/, AttrId /*attr*/) {}
-};
-
 /// A mutable property graph with per-node adjacency lists.
 class Graph {
  public:
   Graph() = default;
-
-  // Copies and moves replicate/transfer the graph data but never the
-  // listener registry: a listener observes one particular instance.
-  // Construction starts with no listeners; assignment keeps the
-  // destination's own listeners (no notifications are emitted for the
-  // wholesale change).
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
+  Graph(const Graph& other) = default;
+  Graph& operator=(const Graph& other) = default;
+  // A moved-from graph is empty (edge count included).
   Graph(Graph&& other) noexcept;
   Graph& operator=(Graph&& other) noexcept;
 
@@ -104,7 +84,7 @@ class Graph {
 
   /// Sets attribute `attr` of `v` to `value` (overwrites).
   /// Returns true iff the stored value changed (new attribute or different
-  /// value); a no-op rewrite returns false and fires no notification.
+  /// value); a no-op rewrite returns false.
   bool SetAttr(NodeId v, AttrId attr, Value value);
   /// Sets attribute by name.
   bool SetAttr(NodeId v, std::string_view attr, Value value) {
@@ -151,14 +131,6 @@ class Graph {
   size_t OutDegree(NodeId v) const { return out_[v].size(); }
   size_t InDegree(NodeId v) const { return in_[v].size(); }
 
-  // ----- change notification -------------------------------------------
-
-  /// Registers a mutation observer (not owned; must outlive the graph or be
-  /// removed first). Duplicate registrations are ignored.
-  void AddListener(GraphListener* listener);
-  /// Unregisters a previously added observer (no-op if absent).
-  void RemoveListener(GraphListener* listener);
-
   // ----- whole-graph operations ----------------------------------------
 
   /// Appends a disjoint copy of `other`; returns the node-id offset that
@@ -193,8 +165,6 @@ class Graph {
   // Dedup set for edges (E is a set of triples).
   std::unordered_set<EdgeKey, EdgeKeyHash> edge_set_;
   size_t num_edges_ = 0;
-  // Mutation observers (never copied with the graph).
-  std::vector<GraphListener*> listeners_;
 };
 
 }  // namespace ged

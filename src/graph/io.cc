@@ -211,6 +211,7 @@ constexpr uint32_t kCkptVersion = 1;
 constexpr uint32_t kSectionNodes = 1;
 constexpr uint32_t kSectionEdges = 2;
 constexpr uint32_t kSectionAttrs = 3;
+constexpr uint32_t kSectionReport = 4;
 
 std::string ErrnoMessage(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -229,7 +230,7 @@ void ForEachAttr(const FrozenGraph& g, NodeId v, Fn&& fn) {
   for (size_t i = 0; i < names.size(); ++i) fn(names[i], values[i]);
 }
 
-void PutSection(std::string* out, uint32_t id, const std::string& payload) {
+void PutSection(std::string* out, uint32_t id, std::string_view payload) {
   binio::PutU32(out, id);
   binio::PutU64(out, payload.size());
   binio::PutU32(out, Crc32c(payload.data(), payload.size()));
@@ -237,18 +238,12 @@ void PutSection(std::string* out, uint32_t id, const std::string& payload) {
 }
 
 template <typename GraphT>
-std::string EncodeCheckpoint(const GraphT& g, uint64_t epoch) {
-  std::string out;
-  out.append(kCkptMagic, sizeof(kCkptMagic));
-  binio::PutU32(&out, kCkptVersion);
-  binio::PutU64(&out, epoch);
-  binio::PutU32(&out, 3);  // section count
-
+std::string EncodeCheckpoint(const GraphT& g, uint64_t epoch,
+                             std::string_view report_section) {
   const NodeId n = static_cast<NodeId>(g.NumNodes());
   std::string nodes;
   binio::PutU64(&nodes, n);
   for (NodeId v = 0; v < n; ++v) binio::PutStr(&nodes, SymName(g.label(v)));
-  PutSection(&out, kSectionNodes, nodes);
 
   std::string edges;
   binio::PutU64(&edges, g.NumEdges());
@@ -259,7 +254,6 @@ std::string EncodeCheckpoint(const GraphT& g, uint64_t epoch) {
       binio::PutStr(&edges, SymName(e.label));
     }
   }
-  PutSection(&out, kSectionEdges, edges);
 
   uint64_t num_attrs = 0;
   for (NodeId v = 0; v < n; ++v) {
@@ -274,8 +268,75 @@ std::string EncodeCheckpoint(const GraphT& g, uint64_t epoch) {
       binio::PutValue(&attrs, value);
     });
   }
+
+  const bool with_report = !report_section.empty();
+  constexpr size_t kSectionHeader = 16;
+  std::string out;
+  out.reserve(sizeof(kCkptMagic) + 16 + 4 * kSectionHeader + nodes.size() +
+              edges.size() + attrs.size() + report_section.size());
+  out.append(kCkptMagic, sizeof(kCkptMagic));
+  binio::PutU32(&out, kCkptVersion);
+  binio::PutU64(&out, epoch);
+  binio::PutU32(&out, with_report ? 4 : 3);  // section count
+  PutSection(&out, kSectionNodes, nodes);
+  PutSection(&out, kSectionEdges, edges);
   PutSection(&out, kSectionAttrs, attrs);
+  if (with_report) PutSection(&out, kSectionReport, report_section);
   return out;
+}
+
+// Section 4 groups: runs of rows with one ged_index and one arity.
+bool SameGroup(const Violation& a, const Violation& b) {
+  return a.ged_index == b.ged_index && a.match.size() == b.match.size();
+}
+
+// Decodes a section 4 payload of a graph with `num_nodes` nodes. Returns
+// null on success, else what is wrong with it.
+const char* DecodeReportSection(std::string_view payload, size_t num_nodes,
+                                CheckpointReport* report) {
+  binio::Reader r(payload);
+  uint64_t rows = 0;
+  if (!r.GetU64(&report->sigma_fingerprint) ||
+      !r.GetU64(&report->matches_checked) || !r.GetU64(&rows)) {
+    return "report section truncated";
+  }
+  // A row takes at least 4 bytes, or is a variable-free pattern's single
+  // row under a 16-byte group header: `rows` can never exceed the payload.
+  if (rows > r.remaining()) return "report row count exceeds the section";
+  std::vector<Violation>& out = report->violations;
+  out.reserve(rows);
+  Match ids;
+  while (out.size() < rows) {
+    uint32_t ged_index = 0, arity = 0;
+    uint64_t count = 0;
+    if (!r.GetU32(&ged_index) || !r.GetU32(&arity) || !r.GetU64(&count)) {
+      return "report section truncated";
+    }
+    if (count == 0 || count > rows - out.size()) {
+      return "report group count out of range";
+    }
+    std::string_view group;
+    if ((arity > 0 && count > r.remaining() / (uint64_t{4} * arity)) ||
+        !r.GetBytes(count * arity * 4, &group)) {
+      return "report section truncated";
+    }
+    const char* p = group.data();
+    ids.resize(arity);
+    for (uint64_t k = 0; k < count; ++k) {
+      for (NodeId& id : ids) {
+        id = binio::LoadU32(p);
+        p += 4;
+        if (id >= num_nodes) return "report node out of range";
+      }
+      Violation row{ged_index, MatchRow(ids)};
+      if (!out.empty() && !ViolationLess(out.back(), row)) {
+        return "report rows out of order";
+      }
+      out.push_back(std::move(row));
+    }
+  }
+  if (!r.Done()) return "report section has trailing bytes";
+  return nullptr;
 }
 
 Status SyncDir(const std::string& dir) {
@@ -322,12 +383,13 @@ Status WriteFileDurably(const std::string& path, const std::string& data) {
 
 template <typename GraphT>
 Result<std::string> SaveCheckpointT(const GraphT& g, uint64_t epoch,
-                                    const std::string& dir) {
+                                    const std::string& dir,
+                                    std::string_view report_section) {
   GEDLIB_FAILPOINT("checkpoint.write");
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::Unavailable(ErrnoMessage("mkdir " + dir));
   }
-  std::string data = EncodeCheckpoint(g, epoch);
+  std::string data = EncodeCheckpoint(g, epoch, report_section);
   std::string final_path = dir + "/" + CheckpointFileName(epoch);
   std::string tmp_path = final_path + ".tmp";
   Status st = WriteFileDurably(tmp_path, data);
@@ -361,33 +423,74 @@ std::string CheckpointFileName(uint64_t epoch) {
   return buf;
 }
 
+std::string EncodeReportSection(uint64_t sigma_fingerprint,
+                                const ValidationReport& report) {
+  // Size the payload once, then store field by field: this runs on the
+  // commit thread, over every live row.
+  const std::vector<Violation>& rows = report.violations;
+  size_t bytes = 24;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || !SameGroup(rows[i - 1], rows[i])) bytes += 16;
+    bytes += 4 * rows[i].match.size();
+  }
+  std::string out(bytes, '\0');
+  char* p = out.data();
+  p = binio::StoreU64(p, sigma_fingerprint);
+  p = binio::StoreU64(p, report.matches_checked);
+  p = binio::StoreU64(p, rows.size());
+  for (size_t i = 0; i < rows.size();) {
+    size_t end = i + 1;
+    while (end < rows.size() && SameGroup(rows[i], rows[end])) ++end;
+    p = binio::StoreU32(p, static_cast<uint32_t>(rows[i].ged_index));
+    p = binio::StoreU32(p, static_cast<uint32_t>(rows[i].match.size()));
+    p = binio::StoreU64(p, end - i);
+    for (; i < end; ++i) {
+      for (NodeId id : rows[i].match) p = binio::StoreU32(p, id);
+    }
+  }
+  return out;
+}
+
 Result<std::string> SaveCheckpoint(const Graph& g, uint64_t epoch,
-                                   const std::string& dir) {
-  return SaveCheckpointT(g, epoch, dir);
+                                   const std::string& dir,
+                                   std::string_view report_section) {
+  return SaveCheckpointT(g, epoch, dir, report_section);
 }
 
 Result<std::string> SaveCheckpoint(const FrozenGraph& g, uint64_t epoch,
-                                   const std::string& dir) {
-  return SaveCheckpointT(g, epoch, dir);
+                                   const std::string& dir,
+                                   std::string_view report_section) {
+  return SaveCheckpointT(g, epoch, dir, report_section);
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
+  // One read into a buffer sized by fstat (checkpoints are immutable once
+  // renamed into place).
   std::string data;
   {
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return Status::Unavailable(ErrnoMessage("open " + path));
-    char buf[1 << 16];
-    for (;;) {
-      ssize_t n = ::read(fd, buf, sizeof(buf));
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      Status err = Status::Unavailable(ErrnoMessage("stat " + path));
+      ::close(fd);
+      return err;
+    }
+    data.resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < data.size()) {
+      ssize_t n = ::read(fd, data.data() + got, data.size() - got);
       if (n < 0) {
         if (errno == EINTR) continue;
+        Status err = Status::Unavailable(ErrnoMessage("read " + path));
         ::close(fd);
-        return Status::Unavailable(ErrnoMessage("read " + path));
+        return err;
       }
       if (n == 0) break;
-      data.append(buf, static_cast<size_t>(n));
+      got += static_cast<size_t>(n);
     }
     ::close(fd);
+    data.resize(got);
   }
   auto corrupt = [&](const std::string& msg) {
     return Status::DataLoss("checkpoint " + path + ": " + msg);
@@ -407,8 +510,8 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
     return corrupt("unsupported version " + std::to_string(version));
   }
 
-  std::string_view nodes, edges, attrs;
-  bool have[4] = {false, false, false, false};
+  std::string_view sections[kSectionReport + 1];
+  bool have[kSectionReport + 1] = {};
   for (uint32_t s = 0; s < section_count; ++s) {
     uint32_t id = 0, crc = 0;
     uint64_t len = 0;
@@ -429,11 +532,10 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
                      ", computed " + std::to_string(actual) + ")");
     }
     if (!top.Skip(len)) return corrupt("section skip past end");
-    if (id >= kSectionNodes && id <= kSectionAttrs) {
+    if (id >= kSectionNodes && id <= kSectionReport) {
       if (have[id]) return corrupt("duplicate section " + std::to_string(id));
       have[id] = true;
-      (id == kSectionNodes ? nodes : id == kSectionEdges ? edges : attrs) =
-          payload;
+      sections[id] = payload;
     }
     // Unknown section ids (including 0) are skipped (forward compat).
   }
@@ -445,7 +547,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
   ckpt.epoch = epoch;
   Graph& g = ckpt.graph;
   {
-    binio::Reader r(nodes);
+    binio::Reader r(sections[kSectionNodes]);
     uint64_t n = 0;
     if (!r.GetU64(&n)) return corrupt("nodes section truncated");
     std::string label;
@@ -456,7 +558,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
     if (!r.Done()) return corrupt("nodes section has trailing bytes");
   }
   {
-    binio::Reader r(edges);
+    binio::Reader r(sections[kSectionEdges]);
     uint64_t m = 0;
     if (!r.GetU64(&m)) return corrupt("edges section truncated");
     g.Reserve(g.NumNodes(), m);
@@ -474,7 +576,7 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
     if (!r.Done()) return corrupt("edges section has trailing bytes");
   }
   {
-    binio::Reader r(attrs);
+    binio::Reader r(sections[kSectionAttrs]);
     uint64_t k = 0;
     if (!r.GetU64(&k)) return corrupt("attrs section truncated");
     std::string attr;
@@ -488,6 +590,13 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
       g.SetAttr(v, std::string_view(attr), std::move(value));
     }
     if (!r.Done()) return corrupt("attrs section has trailing bytes");
+  }
+  if (have[kSectionReport]) {
+    ckpt.report.emplace();
+    if (const char* error = DecodeReportSection(
+            sections[kSectionReport], g.NumNodes(), &*ckpt.report)) {
+      return corrupt(error);
+    }
   }
   return ckpt;
 }

@@ -25,26 +25,41 @@
 //
 // Sections (ids fixed; labels and attribute names travel as strings because
 // Symbols are process-local interner ids):
-//   1 nodes: u64 n | n × str label
-//   2 edges: u64 m | m × (u32 src, u32 dst, str label)
-//   3 attrs: u64 k | k × (u32 node, str attr, value)
+//   1 nodes:  u64 n | n × str label
+//   2 edges:  u64 m | m × (u32 src, u32 dst, str label)
+//   3 attrs:  u64 k | k × (u32 node, str attr, value)
+//   4 report: u64 sigma_fingerprint | u64 matches_checked | u64 rows |
+//             groups × (u32 ged_index | u32 arity | u64 count |
+//                       count × arity × u32 node)
+//
+// Section 4 is optional: the live violation report at `epoch`, written by
+// the incremental validator so a restart need not re-validate the graph.
+// Its rows follow the report order (ViolationLess); a group is a run of
+// rows of one GED and one arity, so no row repeats its ged_index. The
+// fingerprint identifies the Σ the report was computed under (the loader
+// does not interpret it). Section 4 needs no version bump: loaders that
+// predate it skip unknown section ids, and a checkpoint without it is
+// exactly the three-section layout.
 //
 // SaveCheckpoint writes to a temporary file and renames it into place, so a
 // crash mid-write never leaves a half checkpoint under the final name; every
 // section carries its own CRC32C, so torn or bit-flipped files load as
-// kDataLoss, never as a silently wrong graph. Recovery (incr/incremental.h
-// Recover) is LoadCheckpoint + WAL-suffix replay (incr/wal.h).
+// kDataLoss, never as a silently wrong graph or report. Recovery
+// (incr/incremental.h Recover) is LoadCheckpoint + WAL-suffix replay
+// (incr/wal.h).
 
 #ifndef GEDLIB_GRAPH_IO_H_
 #define GEDLIB_GRAPH_IO_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/graph.h"
+#include "reason/validation.h"
 
 namespace ged {
 
@@ -64,24 +79,45 @@ Result<Value> ParseValue(std::string_view token);
 /// "checkpoint-<epoch>.ckpt" (zero-padded so names sort by epoch).
 std::string CheckpointFileName(uint64_t epoch);
 
-/// Writes a checkpoint of `g` stamped with `epoch` into `dir` (tmp file +
-/// fsync + rename + directory fsync). Returns the final path. The FrozenGraph
-/// overload serves the incremental validator's re-freeze piggyback: the
-/// freshly compiled CSR snapshot is exactly the state worth persisting.
-Result<std::string> SaveCheckpoint(const Graph& g, uint64_t epoch,
-                                   const std::string& dir);
-Result<std::string> SaveCheckpoint(const FrozenGraph& g, uint64_t epoch,
-                                   const std::string& dir);
+/// Encodes `report` as the payload of section 4, stamped with
+/// `sigma_fingerprint`. `report.violations` must be in ViolationLess order
+/// without duplicates, as every ValidationReport is.
+std::string EncodeReportSection(uint64_t sigma_fingerprint,
+                                const ValidationReport& report);
 
-/// A loaded checkpoint: the rebuilt graph plus its commit epoch.
+/// Writes a checkpoint of `g` stamped with `epoch` into `dir` (tmp file +
+/// fsync + rename + directory fsync). Returns the final path. A non-empty
+/// `report_section` (an EncodeReportSection payload) is written as section
+/// 4. The FrozenGraph overload serves the incremental validator's re-freeze
+/// piggyback: the freshly compiled CSR snapshot is exactly the state worth
+/// persisting.
+Result<std::string> SaveCheckpoint(const Graph& g, uint64_t epoch,
+                                   const std::string& dir,
+                                   std::string_view report_section = {});
+Result<std::string> SaveCheckpoint(const FrozenGraph& g, uint64_t epoch,
+                                   const std::string& dir,
+                                   std::string_view report_section = {});
+
+/// A decoded section 4.
+struct CheckpointReport {
+  uint64_t sigma_fingerprint = 0;
+  uint64_t matches_checked = 0;
+  /// ViolationLess order, no duplicates, every node id < |V|.
+  std::vector<Violation> violations;
+};
+
+/// A loaded checkpoint: the rebuilt graph, its commit epoch and, when the
+/// file carries section 4, the report at that epoch.
 struct Checkpoint {
   Graph graph;
   uint64_t epoch = 0;
+  std::optional<CheckpointReport> report;
 };
 
 /// Reads a checkpoint file, verifying magic, version and every section CRC.
-/// Corruption (wrong magic, truncation, checksum mismatch, dangling ids)
-/// fails with kDataLoss; a missing file is kUnavailable.
+/// Corruption (wrong magic, truncation, checksum mismatch, dangling ids,
+/// report rows out of order) fails with kDataLoss; a missing file is
+/// kUnavailable.
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
 /// The checkpoint files under `dir`, sorted by epoch (ascending). Recovery

@@ -161,11 +161,17 @@ std::span<const NodeId> OverlayView::NodesWithLabel(Label label) const {
 }
 
 std::optional<Value> OverlayView::attr(NodeId v, AttrId a) const {
+  const Value* value = FindAttr(v, a);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const Value* OverlayView::FindAttr(NodeId v, AttrId a) const {
   const OverlayNode* n = Side(v);
-  if (n == nullptr || !n->attrs_set) return base_->attr(v, a);
+  if (n == nullptr || !n->attrs_set) return base_->FindAttr(v, a);
   auto it = std::lower_bound(n->attr_keys.begin(), n->attr_keys.end(), a);
-  if (it == n->attr_keys.end() || *it != a) return std::nullopt;
-  return n->attr_values[it - n->attr_keys.begin()];
+  if (it == n->attr_keys.end() || *it != a) return nullptr;
+  return &n->attr_values[it - n->attr_keys.begin()];
 }
 
 // Defined here (not frozen.cc) so frozen.cc need not depend on the overlay;

@@ -169,7 +169,10 @@ class OverlayView {
 
   /// Value of v.A if present.
   std::optional<Value> attr(NodeId v, AttrId a) const;
-  bool HasAttr(NodeId v, AttrId a) const { return attr(v, a).has_value(); }
+  /// The same lookup, borrowed (null if absent): a pointer into the side
+  /// copy or the base, valid until the next mutation of this overlay.
+  const Value* FindAttr(NodeId v, AttrId a) const;
+  bool HasAttr(NodeId v, AttrId a) const { return FindAttr(v, a) != nullptr; }
   /// The columnar attribute tuple of v: parallel spans of sorted attribute
   /// ids and their values (base range or side copy).
   std::span<const AttrId> AttrNames(NodeId v) const {

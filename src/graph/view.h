@@ -54,6 +54,7 @@ concept GraphView = requires(const G& g, NodeId v, Label l, AttrId a) {
   { g.InDegree(v) } -> std::convertible_to<size_t>;
   { g.CandidateCount(l) } -> std::convertible_to<size_t>;
   { g.attr(v, a) } -> std::convertible_to<std::optional<Value>>;
+  { g.FindAttr(v, a) } -> std::convertible_to<const Value*>;
   { *std::ranges::begin(g.NodesWithLabel(l)) } -> std::convertible_to<NodeId>;
   { std::ranges::size(g.NodesWithLabel(l)) } -> std::convertible_to<size_t>;
   { *std::ranges::begin(g.OutEdgesLabeled(v, l)) }

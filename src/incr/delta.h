@@ -141,8 +141,8 @@ class GraphDelta {
   Status Check(const OverlayView& g) const;
 
   /// Atomically applies the batch: runs Check, then performs every
-  /// operation (through the graph's public API, so GraphListener hooks
-  /// fire). On error the graph is untouched. The OverlayView overload is
+  /// operation through the graph's public API. On error the graph is
+  /// untouched. The OverlayView overload is
   /// the mirror path of IncrementalValidator: the same batch lands in the
   /// delta overlay with identical ids and the same Applied summary.
   Result<Applied> Apply(Graph* g) const;

@@ -39,6 +39,15 @@
 // Retracting violations that bind a touched node and re-scanning exactly
 // the touched region therefore reproduces Validate() from scratch, which
 // the property tests assert after every commit.
+//
+// Durability: Commit has two halves. The logging half checks the delta
+// and, with options.durability set, appends it to the WAL (incr/wal.h);
+// the in-memory half applies it to the graph and the overlay and maintains
+// the report as above. Every checkpoint (piggybacked on a background
+// re-freeze) also carries the live report at its epoch (graph/io.h section
+// 4), so Recover seeds the report from the newest checkpoint and runs only
+// the WAL suffix through the in-memory half — a restart costs a checkpoint
+// load plus a few incremental commits, not a full validation.
 
 #ifndef GEDLIB_INCR_INCREMENTAL_H_
 #define GEDLIB_INCR_INCREMENTAL_H_
@@ -46,6 +55,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -85,6 +95,10 @@ class IncrementalValidator {
   struct RecoveryStats {
     bool from_checkpoint = false;      ///< a checkpoint seeded the graph
     uint64_t checkpoint_epoch = 0;     ///< its commit epoch (0 when absent)
+    /// The checkpoint's report seeded the live report (no full validation
+    /// ran); false on the fallback path.
+    bool report_from_checkpoint = false;
+    uint64_t report_rows_loaded = 0;   ///< violations read from it
     uint64_t wal_records_replayed = 0;
     uint64_t wal_records_skipped = 0;  ///< already covered by the checkpoint
     bool torn_tail_dropped = false;    ///< a truncated final record was cut
@@ -92,14 +106,23 @@ class IncrementalValidator {
   };
 
   /// Rebuilds a validator from the durable state under
-  /// `options.durability.dir` (which must be set): newest loadable
-  /// checkpoint + WAL-suffix replay, then one full Validate() seeds the
-  /// live report — bit-identical to the report of a process that never
-  /// crashed at the same commit epoch. A missing or empty directory is a
-  /// clean cold start (empty graph, epoch 0). Corrupted state (checksum
-  /// mismatch, epoch gap) fails with kDataLoss rather than serving a
-  /// silently wrong graph. The recovered validator keeps appending to the
-  /// same directory.
+  /// `options.durability.dir` (which must be set) and the newest loadable
+  /// checkpoint. When that checkpoint carries a report computed under the
+  /// same Σ (same rules in the same order, same match semantics), the
+  /// report seeds the validator and each WAL-suffix record runs through the
+  /// in-memory half of Commit (apply, overlay, retract, re-scans,
+  /// reconcile) — not appended again, not counted in last_commit(). The
+  /// recovered report then equals the one the crashed process held at the
+  /// same commit epoch, `matches_checked` included. Otherwise (no
+  /// checkpoint, no report section, Σ changed) the suffix is replayed into
+  /// the graph and one full Validate() seeds the report, whose violations
+  /// are the same and whose `matches_checked` counts that validation.
+  /// RevalidateFull() stays the on-demand check of either. A missing or
+  /// empty directory is a clean cold start (empty graph, epoch 0).
+  /// Corrupted state (checksum mismatch in any section, epoch gap) fails
+  /// with kDataLoss rather than serving a silently wrong graph or report;
+  /// an unreadable newest checkpoint falls back to an older one. The
+  /// recovered validator keeps appending to the same directory.
   static Result<std::unique_ptr<IncrementalValidator>> Recover(
       std::vector<Ged> sigma, ValidationOptions options,
       RecoveryStats* recovery = nullptr);
@@ -200,6 +223,29 @@ class IncrementalValidator {
   ValidationReport RevalidateFull() const;
 
  private:
+  // What the in-memory half of one commit did.
+  struct Maintained {
+    GraphDelta::Applied applied;
+    size_t retracted = 0;
+    size_t added = 0;
+    uint64_t checked = 0;
+  };
+
+  // The shared constructor: a `seed` report is taken as the report of `g`
+  // under Σ (Recover's seeded path); without one, a full validation of the
+  // overlay base computes it. Leaves the WAL closed.
+  IncrementalValidator(Graph g, std::vector<Ged> sigma,
+                       ValidationOptions options,
+                       std::optional<ValidationReport> seed);
+
+  // The in-memory half of a commit: applies `delta` to graph_ and overlay_,
+  // maintains report_ (retract, touching and edge-seeded re-scans,
+  // reconcile) and advances commit_epoch_. Commit runs it after the WAL
+  // append; Recover runs it for each WAL-suffix record. Touches neither the
+  // WAL nor stats_.
+  Result<Maintained> ApplyAndMaintain(const GraphDelta& delta);
+  // kUnavailable when durability is configured but the WAL did not open.
+  Status DurabilityStatus() const;
   // Non-blocking: if a background re-freeze has finished, join it and swap
   // to the new overlay epoch (replaying deltas committed in the meantime).
   void MaybeAdoptRefreeze();

@@ -6,9 +6,16 @@
 //            ── PlanCompile
 //            ── Match (per GED / per plan bucket, on every worker thread)
 //            ── ViolationEmit
-//   Commit   ── SeedTouching ── Match ...
+//   DeltaCheck, WalAppend         (a commit's logging half, before its span)
+//   Commit   ── GraphApply
+//            ── OverlayApply
+//            ── SeedTouching ── Match ...
 //            ── SeedEdges    ── Match ...
 //            ── Reconcile
+//            ── CheckpointReportEncode (when a re-freeze will checkpoint)
+//   Recover  ── RecoverLoadCheckpoint
+//            ── RecoverSeedReport | RecoverValidate
+//            ── RecoverReplay ── GraphApply, OverlayApply, SeedTouching ...
 //
 // Spans record into *per-thread buffers* (no cross-thread synchronization
 // on the span path beyond one uncontended per-buffer mutex) and are merged

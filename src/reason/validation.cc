@@ -659,6 +659,7 @@ void TruncateViolationsPerGed(std::vector<Violation>* violations,
 
 size_t EraseViolationsTouching(std::vector<Violation>* violations,
                                const std::vector<NodeId>& touched) {
+  if (touched.empty()) return 0;
   auto binds_touched = [&](const Violation& v) {
     for (NodeId n : v.match) {
       if (std::binary_search(touched.begin(), touched.end(), n)) return true;
@@ -674,12 +675,19 @@ size_t EraseViolationsTouching(std::vector<Violation>* violations,
 
 void MergeViolations(std::vector<Violation>* violations,
                      std::vector<Violation> fresh) {
-  size_t mid = violations->size();
-  violations->insert(violations->end(),
-                     std::make_move_iterator(fresh.begin()),
-                     std::make_move_iterator(fresh.end()));
-  std::inplace_merge(violations->begin(), violations->begin() + mid,
-                     violations->end(), ViolationLess);
+  // Merge from the back into the grown list: rows before the first
+  // insertion point never move, and no buffer the size of the report is
+  // allocated (std::inplace_merge takes one). Ties keep `violations` first.
+  std::vector<Violation>& v = *violations;
+  size_t i = v.size(), j = fresh.size();
+  v.resize(i + j);
+  for (size_t k = v.size(); j > 0;) {
+    if (i > 0 && ViolationLess(fresh[j - 1], v[i - 1])) {
+      v[--k] = std::move(v[--i]);
+    } else {
+      v[--k] = std::move(fresh[--j]);
+    }
+  }
 }
 
 ValidationReport ValidateTouchingWithPlan(const OverlayView& g,

@@ -1,13 +1,15 @@
 // Checkpoint format tests: Graph / FrozenGraph round-trips, section CRC
-// verification against bit flips and truncation, atomic tmp+rename writes
-// (a failpoint-injected failure must never leave a half checkpoint under
-// the final name), listing and GC.
+// verification against bit flips and truncation, the report section (round
+// trip, and every malformed payload loads as kDataLoss), atomic tmp+rename
+// writes (a failpoint-injected failure must never leave a half checkpoint
+// under the final name), listing and GC.
 
 #include <unistd.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "graph/frozen.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "reason/validation.h"
 
 namespace ged {
 namespace {
@@ -170,6 +173,122 @@ TEST_F(CheckpointTest, UnknownSectionIdsAreSkipped) {
                              << loaded.status().ToString();
     EXPECT_TRUE(loaded.value().graph == g) << "id " << id;
   }
+}
+
+// A report over SampleGraph: rows of two GEDs with different arities, in
+// ViolationLess order.
+ValidationReport SampleReport() {
+  ValidationReport report;
+  report.matches_checked = 1234;
+  report.violations = {{0, MatchRow{1, 2}},    {0, MatchRow{1, 5}},
+                       {0, MatchRow{4, 0}},    {2, MatchRow{3}},
+                       {2, MatchRow{11}},      {3, MatchRow{0, 1, 2}}};
+  report.satisfied = false;
+  return report;
+}
+
+constexpr uint64_t kFingerprint = 0x5eed5eed5eed5eedULL;
+
+TEST_F(CheckpointTest, ReportSectionRoundTrip) {
+  Graph g = SampleGraph();
+  const ValidationReport report = SampleReport();
+  auto saved = SaveCheckpoint(g, 21, dir_,
+                              EncodeReportSection(kFingerprint, report));
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  auto loaded = LoadCheckpoint(saved.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().graph == g);
+  ASSERT_TRUE(loaded.value().report.has_value());
+  const CheckpointReport& r = *loaded.value().report;
+  EXPECT_EQ(r.sigma_fingerprint, kFingerprint);
+  EXPECT_EQ(r.matches_checked, report.matches_checked);
+  EXPECT_EQ(r.violations, report.violations);
+
+  // Rows are grouped per GED and arity: 3 groups, no per-row ged_index.
+  const std::string payload = EncodeReportSection(kFingerprint, report);
+  EXPECT_EQ(payload.size(), 24 + 3 * 16 + 4 * (3 * 2 + 2 * 1 + 1 * 3));
+
+  // An empty report still round-trips as a present section.
+  auto empty = SaveCheckpoint(FrozenGraph::Freeze(g), 22, dir_,
+                              EncodeReportSection(7, ValidationReport{}));
+  ASSERT_TRUE(empty.ok());
+  auto loaded_empty = LoadCheckpoint(empty.value());
+  ASSERT_TRUE(loaded_empty.ok()) << loaded_empty.status().ToString();
+  ASSERT_TRUE(loaded_empty.value().report.has_value());
+  EXPECT_TRUE(loaded_empty.value().report->violations.empty());
+  EXPECT_EQ(loaded_empty.value().report->sigma_fingerprint, 7u);
+}
+
+TEST_F(CheckpointTest, NoReportSectionWritesTheThreeSectionLayout) {
+  Graph g = SampleGraph();
+  auto saved = SaveCheckpoint(g, 3, dir_);
+  ASSERT_TRUE(saved.ok());
+  const std::string data = ReadAll(saved.value());
+  EXPECT_EQ(data[8 + 4 + 8], 3);  // section count
+  auto loaded = LoadCheckpoint(saved.value());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(loaded.value().report.has_value());
+}
+
+TEST_F(CheckpointTest, ReportSectionByteFlipIsDataLoss) {
+  Graph g = SampleGraph();
+  const std::string payload = EncodeReportSection(kFingerprint, SampleReport());
+  auto saved = SaveCheckpoint(g, 3, dir_, payload);
+  ASSERT_TRUE(saved.ok());
+  const std::string full = ReadAll(saved.value());
+  // Section 4 is the last section: its payload is the file's tail.
+  for (size_t i = full.size() - payload.size(); i < full.size(); ++i) {
+    std::string mutated = full;
+    mutated[i] ^= 0x01;
+    WriteAll(saved.value(), mutated);
+    auto loaded = LoadCheckpoint(saved.value());
+    ASSERT_FALSE(loaded.ok()) << "flip at byte " << i;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  }
+}
+
+// Malformed payloads with a valid CRC (SaveCheckpoint checksums whatever it
+// is given): the decoder itself must reject them.
+TEST_F(CheckpointTest, MalformedReportSectionIsDataLoss) {
+  Graph g = SampleGraph();
+  const std::string good = EncodeReportSection(kFingerprint, SampleReport());
+  auto expect_data_loss = [&](const std::string& payload, const char* what) {
+    auto saved = SaveCheckpoint(g, 3, dir_, payload);
+    ASSERT_TRUE(saved.ok()) << what;
+    auto loaded = LoadCheckpoint(saved.value());
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << what;
+  };
+  // A truncated row: the last node id is cut in half, then entirely.
+  expect_data_loss(good.substr(0, good.size() - 2), "half a node id");
+  expect_data_loss(good.substr(0, good.size() - 4), "truncated row");
+  // A header cut short.
+  expect_data_loss(good.substr(0, 20), "truncated header");
+  // Trailing garbage after the declared rows.
+  expect_data_loss(good + std::string(4, '\0'), "trailing bytes");
+
+  // A node id ≥ |V|.
+  ValidationReport dangling = SampleReport();
+  dangling.violations.back() = {3, MatchRow{0, 1, static_cast<NodeId>(
+                                                      g.NumNodes())}};
+  expect_data_loss(EncodeReportSection(kFingerprint, dangling),
+                   "node id out of range");
+
+  // Rows out of order, and a duplicate row.
+  ValidationReport unordered = SampleReport();
+  std::swap(unordered.violations[0], unordered.violations[1]);
+  expect_data_loss(EncodeReportSection(kFingerprint, unordered),
+                   "rows out of order");
+  ValidationReport duplicate = SampleReport();
+  duplicate.violations[1] = duplicate.violations[0];
+  expect_data_loss(EncodeReportSection(kFingerprint, duplicate),
+                   "duplicate row");
+
+  // A row count larger than the section can hold.
+  std::string inflated = good;
+  inflated[16] = 0x7f;  // u64 rows, low byte
+  inflated[23] = 0x10;  // and high byte
+  expect_data_loss(inflated, "row count beyond the section");
 }
 
 TEST_F(CheckpointTest, MissingFileIsUnavailable) {

@@ -73,72 +73,6 @@ TEST(Graph, SetAttrReportsChange) {
   EXPECT_TRUE(g.SetAttr(v, "a", Value(2)));   // actual change
 }
 
-// Records every notification for the listener tests.
-class RecordingListener : public GraphListener {
- public:
-  void OnNodeAdded(NodeId v) override { nodes.push_back(v); }
-  void OnEdgeAdded(NodeId src, Label label, NodeId dst) override {
-    edges.push_back({src, label, dst});
-  }
-  void OnAttrSet(NodeId v, AttrId attr) override {
-    attrs.push_back({v, attr});
-  }
-  std::vector<NodeId> nodes;
-  std::vector<std::tuple<NodeId, Label, NodeId>> edges;
-  std::vector<std::pair<NodeId, AttrId>> attrs;
-};
-
-TEST(Graph, ListenersObserveMutations) {
-  Graph g;
-  RecordingListener rec;
-  g.AddListener(&rec);
-  g.AddListener(&rec);  // duplicate registration ignored
-  NodeId a = g.AddNode("n");
-  NodeId b = g.AddNode("n");
-  g.AddEdge(a, "e", b);
-  g.AddEdge(a, "e", b);  // duplicate edge: no notification
-  g.SetAttr(a, "k", Value(1));
-  g.SetAttr(a, "k", Value(1));  // no-op rewrite: no notification
-  EXPECT_EQ(rec.nodes, (std::vector<NodeId>{a, b}));
-  ASSERT_EQ(rec.edges.size(), 1u);
-  EXPECT_EQ(rec.edges[0], std::make_tuple(a, Sym("e"), b));
-  ASSERT_EQ(rec.attrs.size(), 1u);
-  EXPECT_EQ(rec.attrs[0], std::make_pair(a, Sym("k")));
-
-  g.RemoveListener(&rec);
-  g.AddNode("n");
-  EXPECT_EQ(rec.nodes.size(), 2u);  // unregistered: no further calls
-}
-
-TEST(Graph, CopiesDoNotCarryListeners) {
-  Graph g;
-  RecordingListener rec;
-  g.AddListener(&rec);
-  Graph copy = g;
-  copy.AddNode("n");
-  EXPECT_TRUE(rec.nodes.empty());  // the copy is not observed
-  g.AddNode("n");
-  EXPECT_EQ(rec.nodes.size(), 1u);  // the original still is
-}
-
-TEST(Graph, MovesDoNotDisturbListeners) {
-  Graph g;
-  RecordingListener rec;
-  g.AddListener(&rec);
-  // Move construction: the new instance is not observed.
-  Graph moved = std::move(g);
-  moved.AddNode("n");
-  EXPECT_TRUE(rec.nodes.empty());
-  // Move assignment: the destination keeps its own listeners.
-  Graph dst;
-  RecordingListener dst_rec;
-  dst.AddListener(&dst_rec);
-  dst = std::move(moved);
-  dst.AddNode("n");
-  EXPECT_EQ(dst_rec.nodes.size(), 1u);
-  EXPECT_TRUE(rec.nodes.empty());
-}
-
 TEST(LabelMatches, WildcardIsAsymmetric) {
   Label tau = Sym("tau");
   EXPECT_TRUE(LabelMatches(kWildcard, tau));

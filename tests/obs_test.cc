@@ -1,13 +1,17 @@
 // Observability layer tests (src/obs/): metrics-registry correctness under
 // concurrent writers, span-tree nesting/merge invariants, the EXPLAIN
 // profiler's consistency with the validation report, step-budget abort
-// propagation into ValidationReport::aborted_geds, cumulative CommitStats —
+// propagation into ValidationReport::aborted_geds, cumulative CommitStats,
+// the spans of every commit and restart stage —
 // and the load-bearing differential guarantee: enabling observability must
 // not change any validation result.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -373,6 +377,96 @@ TEST(CommitStats, TotalsAccumulateAcrossCommits) {
   ValidationReport oracle = validator.RevalidateFull();
   EXPECT_EQ(validator.report().violations, oracle.violations);
   EXPECT_EQ(validator.report().satisfied, oracle.satisfied);
+}
+
+// ----- commit and restart stages ---------------------------------------------
+
+// Names of the recorded spans at `depth` or deeper.
+std::set<std::string> SpanNames(const Tracer& tracer, uint32_t min_depth = 0) {
+  std::set<std::string> names;
+  for (const TraceEvent& e : tracer.Merged()) {
+    if (e.depth >= min_depth) names.insert(e.name);
+  }
+  return names;
+}
+
+std::vector<Ged> HubSpokeSigma(const char* name) {
+  Pattern q;
+  VarId x = q.AddVar("x", "hub");
+  VarId y = q.AddVar("y", "spoke");
+  q.AddEdge(x, "link", y);
+  std::vector<Ged> sigma;
+  sigma.emplace_back(name, std::move(q), std::vector<Literal>{},
+                     std::vector<Literal>{}, /*y_is_false=*/true);
+  return sigma;
+}
+
+TEST(StageSpans, CommitAndRecoverStagesAreTraced) {
+  char tmpl[] = "/tmp/gedlib_obs_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ValidationOptions opts;
+  opts.durability.dir = dir;
+  opts.overlay_refreeze_cutoff = 4;
+  {
+    ObsSession session;
+    ValidationOptions traced = opts;
+    traced.obs = session.Options();
+    auto v = IncrementalValidator::Create(Graph(), HubSpokeSigma("forbid"),
+                                          traced);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    for (int i = 0; i < 12; ++i) {
+      GraphDelta d = v.value()->NewDelta();
+      NodeId n = d.AddNode(i % 2 == 0 ? "hub" : "spoke");
+      if (i > 0) d.AddEdge(static_cast<NodeId>(i - 1), "link", n);
+      ASSERT_TRUE(v.value()->Commit(d).ok());
+    }
+    v.value()->FinishRefreeze();
+    ASSERT_GT(v.value()->checkpoints_written(), 0u);
+    const std::set<std::string> top = SpanNames(session.Trace());
+    for (const char* stage :
+         {"DeltaCheck", "WalAppend", "Commit", "CheckpointReportEncode"}) {
+      EXPECT_TRUE(top.count(stage)) << stage;
+    }
+    // The in-memory stages run inside the Commit span.
+    const std::set<std::string> nested = SpanNames(session.Trace(), 1);
+    for (const char* stage :
+         {"GraphApply", "OverlayApply", "SeedTouching", "Reconcile"}) {
+      EXPECT_TRUE(nested.count(stage)) << stage;
+    }
+  }
+  {
+    ObsSession session;
+    ValidationOptions traced = opts;
+    traced.obs = session.Options();
+    IncrementalValidator::RecoveryStats rs;
+    auto v = IncrementalValidator::Recover(HubSpokeSigma("forbid"), traced,
+                                           &rs);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_TRUE(rs.report_from_checkpoint);
+    EXPECT_TRUE(SpanNames(session.Trace()).count("Recover"));
+    const std::set<std::string> nested = SpanNames(session.Trace(), 1);
+    for (const char* stage :
+         {"RecoverLoadCheckpoint", "RecoverSeedReport", "RecoverReplay"}) {
+      EXPECT_TRUE(nested.count(stage)) << stage;
+    }
+    EXPECT_FALSE(nested.count("RecoverValidate"));
+  }
+  {
+    // A renamed rule changes Σ's fingerprint: the fallback validates.
+    ObsSession session;
+    ValidationOptions traced = opts;
+    traced.obs = session.Options();
+    IncrementalValidator::RecoveryStats rs;
+    auto v = IncrementalValidator::Recover(HubSpokeSigma("renamed"), traced,
+                                           &rs);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_FALSE(rs.report_from_checkpoint);
+    const std::set<std::string> nested = SpanNames(session.Trace(), 1);
+    EXPECT_TRUE(nested.count("RecoverValidate"));
+    EXPECT_FALSE(nested.count("RecoverSeedReport"));
+  }
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Crash-safety tests for the durable incremental validator: WAL-backed
-// commits, checkpoint + WAL-suffix recovery, graceful degradation under
-// injected faults, and the headline crash matrix — for every failpoint on
-// the commit and checkpoint paths, a forked child crashes there
-// (std::_Exit, no flushes) and the parent recovers a report bit-identical
-// to a never-crashed oracle at the same commit epoch.
+// commits, checkpoint + WAL-suffix recovery (the report seeded from the
+// checkpoint, and the full-validation fallback when the checkpoint has no
+// report or Σ changed), graceful degradation under injected faults, and
+// the headline crash matrix — for every failpoint on the commit and
+// checkpoint paths, a forked child crashes there (std::_Exit, no flushes)
+// and the parent recovers a report bit-identical to a never-crashed oracle
+// at the same commit epoch and to the reference validator (tests/
+// reference/, which shares no code with the engine) on the recovered
+// graph.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,10 +21,12 @@
 
 #include "common/failpoint.h"
 #include "ged/ged.h"
+#include "graph/io.h"
 #include "incr/incremental.h"
 #include "incr/wal.h"
 #include "obs/metrics.h"
 #include "reason/validation.h"
+#include "reference_compare.h"
 
 namespace ged {
 namespace {
@@ -90,6 +96,29 @@ void ExpectReportsEqual(const ValidationReport& a, const ValidationReport& b) {
   EXPECT_EQ(a.satisfied, b.satisfied);
   ASSERT_EQ(a.violations.size(), b.violations.size());
   EXPECT_EQ(a.violations, b.violations);
+}
+
+// The recovered report against the reference validator run on the
+// recovered graph (homomorphism semantics, as every validator here uses).
+void ExpectReportMatchesReference(const IncrementalValidator& v) {
+  reference::RefReport ref =
+      reference::Validate(v.graph(), v.sigma(), /*injective=*/false);
+  EXPECT_EQ(RefRows(v.report().violations), ref.violations);
+  EXPECT_EQ(v.report().satisfied, ref.violations.empty());
+}
+
+// TestSigma plus a rule on the reverse edge direction: the two rules'
+// violations differ, so a report seeded under the wrong rule order would
+// be visibly wrong.
+std::vector<Ged> TwoRuleSigma() {
+  std::vector<Ged> sigma = TestSigma();
+  Pattern q;
+  VarId x = q.AddVar("x", "spoke");
+  VarId y = q.AddVar("y", "hub");
+  q.AddEdge(x, "link", y);
+  sigma.emplace_back("forbid_back_link", std::move(q), std::vector<Literal>{},
+                     std::vector<Literal>{}, /*y_is_false=*/true);
+  return sigma;
 }
 
 class RecoveryTest : public ::testing::Test {
@@ -225,6 +254,139 @@ TEST_F(RecoveryTest, CheckpointPlusSuffixReplay) {
   auto oracle = BuildOracle(kSteps);
   EXPECT_TRUE(recovered.value()->graph() == oracle->graph());
   ExpectReportsEqual(recovered.value()->report(), oracle->report());
+}
+
+// Runs `steps` deterministic steps through a durable validator over `dir`
+// (re-freeze cutoff 4: checkpoints with reports get written), then
+// `suffix` more while checkpoint writes fail, so at least `suffix` WAL
+// records lie past the newest checkpoint. Returns the live report and
+// stores the final commit epoch.
+ValidationReport WriteHistory(const std::string& dir,
+                              const std::vector<Ged>& sigma, int steps,
+                              int suffix, uint64_t* epoch) {
+  auto v = IncrementalValidator::Create(Graph(), sigma, DurableOptions(dir, 4));
+  EXPECT_TRUE(v.ok()) << v.status().ToString();
+  if (!v.ok()) return {};
+  for (int i = 0; i < steps + suffix; ++i) {
+    if (i == steps) {
+      v.value()->FinishRefreeze();
+      EXPECT_GT(v.value()->checkpoints_written(), 0u);
+      failpoints::Enable("checkpoint.write", FailpointAction::Error());
+    }
+    GraphDelta d = v.value()->NewDelta();
+    RecordStep(&d, v.value()->graph(), i);
+    EXPECT_TRUE(v.value()->Commit(d).ok());
+  }
+  v.value()->FinishRefreeze();
+  failpoints::DisableAll();
+  *epoch = v.value()->commit_epoch();
+  return v.value()->report();
+}
+
+TEST_F(RecoveryTest, ReportSeededFromCheckpointEqualsLiveReport) {
+  uint64_t epoch = 0;
+  const ValidationReport live =
+      WriteHistory(dir_, TestSigma(), /*steps=*/30, /*suffix=*/6, &epoch);
+  IncrementalValidator::RecoveryStats rs;
+  auto recovered =
+      IncrementalValidator::Recover(TestSigma(), DurableOptions(dir_), &rs);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const IncrementalValidator& v = *recovered.value();
+  EXPECT_TRUE(rs.from_checkpoint);
+  EXPECT_TRUE(rs.report_from_checkpoint);
+  EXPECT_GT(rs.report_rows_loaded, 0u);
+  EXPECT_GE(rs.wal_records_replayed, 6u);
+  EXPECT_EQ(rs.recovered_epoch, epoch);
+  EXPECT_EQ(v.commit_epoch(), epoch);
+
+  // Field for field, matches_checked included: the checkpoint's count plus
+  // the replayed suffix's incremental work.
+  EXPECT_EQ(v.report().violations, live.violations);
+  EXPECT_EQ(v.report().satisfied, live.satisfied);
+  EXPECT_EQ(v.report().matches_checked, live.matches_checked);
+  EXPECT_EQ(v.report().aborted_geds, live.aborted_geds);
+  ExpectReportsEqual(v.report(), v.RevalidateFull());
+  ExpectReportMatchesReference(v);
+
+  // Replayed records are neither commits nor appended again.
+  EXPECT_EQ(v.last_commit().commits, 0u);
+  EXPECT_EQ(v.wal()->stats().appends, 0u);
+
+  // The recovered validator keeps committing exactly.
+  GraphDelta d = recovered.value()->NewDelta();
+  RecordStep(&d, v.graph(), static_cast<int>(epoch));
+  ASSERT_TRUE(recovered.value()->Commit(d).ok());
+  EXPECT_EQ(v.last_commit().commits, 1u);
+  ExpectReportsEqual(v.report(), v.RevalidateFull());
+}
+
+TEST_F(RecoveryTest, ChangedSigmaFallsBackToFullValidation) {
+  uint64_t epoch = 0;
+  WriteHistory(dir_, TwoRuleSigma(), /*steps=*/30, /*suffix=*/4, &epoch);
+
+  std::vector<Ged> reordered = TwoRuleSigma();
+  std::swap(reordered[0], reordered[1]);
+  std::vector<Ged> edited = TwoRuleSigma();
+  edited[1] = Ged("forbid_back_link", edited[1].pattern(),
+                  {Literal::Const(0, Sym("idx"), Value(int64_t{1}))}, {},
+                  /*y_is_false=*/true);
+  for (const std::vector<Ged>* sigma : {&reordered, &edited}) {
+    SCOPED_TRACE(sigma == &reordered ? "reordered" : "edited");
+    IncrementalValidator::RecoveryStats rs;
+    auto recovered =
+        IncrementalValidator::Recover(*sigma, DurableOptions(dir_), &rs);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(rs.from_checkpoint);
+    EXPECT_FALSE(rs.report_from_checkpoint);
+    EXPECT_EQ(rs.report_rows_loaded, 0u);
+    EXPECT_EQ(rs.recovered_epoch, epoch);
+    EXPECT_FALSE(recovered.value()->report().violations.empty());
+    ExpectReportsEqual(recovered.value()->report(),
+                       recovered.value()->RevalidateFull());
+    ExpectReportMatchesReference(*recovered.value());
+  }
+
+  // The unchanged Σ still takes the seeded path.
+  IncrementalValidator::RecoveryStats rs;
+  auto recovered =
+      IncrementalValidator::Recover(TwoRuleSigma(), DurableOptions(dir_), &rs);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(rs.report_from_checkpoint);
+  ExpectReportMatchesReference(*recovered.value());
+}
+
+TEST_F(RecoveryTest, CheckpointWithoutReportSectionRecoversExactly) {
+  constexpr int kSteps = 20;
+  constexpr uint64_t kCheckpointEpoch = 12;
+  {
+    // Cutoff 0: no re-freeze, so no checkpoint; the WAL holds every step.
+    auto v = IncrementalValidator::Create(Graph(), TestSigma(),
+                                          DurableOptions(dir_, 0));
+    ASSERT_TRUE(v.ok());
+    for (int i = 0; i < kSteps; ++i) {
+      GraphDelta d = v.value()->NewDelta();
+      RecordStep(&d, v.value()->graph(), i);
+      ASSERT_TRUE(v.value()->Commit(d).ok());
+    }
+  }
+  // A checkpoint without section 4, as a writer that predates it encodes
+  // one: three sections, the graph only.
+  auto saved = SaveCheckpoint(BuildOracle(kCheckpointEpoch)->graph(),
+                              kCheckpointEpoch, dir_);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+
+  IncrementalValidator::RecoveryStats rs;
+  auto recovered =
+      IncrementalValidator::Recover(TestSigma(), DurableOptions(dir_), &rs);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(rs.from_checkpoint);
+  EXPECT_EQ(rs.checkpoint_epoch, kCheckpointEpoch);
+  EXPECT_FALSE(rs.report_from_checkpoint);
+  EXPECT_EQ(rs.wal_records_replayed, kSteps - kCheckpointEpoch);
+  auto oracle = BuildOracle(kSteps);
+  EXPECT_TRUE(recovered.value()->graph() == oracle->graph());
+  ExpectReportsEqual(recovered.value()->report(), oracle->report());
+  ExpectReportMatchesReference(*recovered.value());
 }
 
 TEST_F(RecoveryTest, WalFailureRejectsCommitAndLeavesStateUntouched) {
@@ -371,10 +533,18 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdenticalReports) {
       {"checkpoint.write", 1, 8, 40},
       {"checkpoint.fsync", 1, 8, 40},
       {"checkpoint.rename", 1, 8, 40},
+      // The same windows once earlier checkpoints (with their reports)
+      // exist: recovery seeds the report and replays the WAL suffix.
+      {"wal.append.mid_write", 30, 8, 40},
+      {"commit.wal_appended", 30, 8, 40},
+      {"checkpoint.write", 3, 8, 40},
+      {"checkpoint.rename", 3, 8, 40},
   };
+  int seeded = 0, fallback = 0;
   for (const CrashCase& c : kMatrix) {
-    SCOPED_TRACE(c.failpoint);
-    std::string dir = dir_ + "/" + c.failpoint;
+    SCOPED_TRACE(std::string(c.failpoint) + " #" + std::to_string(c.nth));
+    std::string dir =
+        dir_ + "/" + c.failpoint + "-" + std::to_string(c.nth);
 
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
@@ -398,6 +568,16 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdenticalReports) {
     auto oracle = BuildOracle(rs.recovered_epoch);
     EXPECT_TRUE(recovered.value()->graph() == oracle->graph());
     ExpectReportsEqual(recovered.value()->report(), oracle->report());
+    // A report seeded from a checkpoint carries the incremental work count
+    // the never-crashed process accumulated.
+    if (rs.report_from_checkpoint) {
+      EXPECT_EQ(recovered.value()->report().matches_checked,
+                oracle->report().matches_checked);
+    }
+    ++(rs.report_from_checkpoint ? seeded : fallback);
+    // And the reference validator, which shares no code with the engine,
+    // agrees on the recovered graph.
+    ExpectReportMatchesReference(*recovered.value());
 
     // And the recovered validator still serves durable commits.
     GraphDelta d = recovered.value()->NewDelta();
@@ -405,6 +585,9 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdenticalReports) {
                static_cast<int>(rs.recovered_epoch));
     EXPECT_TRUE(recovered.value()->Commit(d).ok());
   }
+  // The matrix covers both restart paths.
+  EXPECT_GT(seeded, 0);
+  EXPECT_GT(fallback, 0);
 }
 
 }  // namespace
